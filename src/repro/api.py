@@ -558,12 +558,6 @@ def reconstruct(
                 f"solver {spec.name!r} does not support resume_from "
                 f"(capability: resume)"
             )
-        ckpt_solver = resume_from.solver.replace("_", "-")
-        if ckpt_solver != spec.name:
-            raise ValidationError(
-                f"resume_from is a {ckpt_solver!r} checkpoint; this run "
-                f"is {spec.name!r}"
-            )
         expected_hash = solver_params_hash(spec.name, validated)
         if resume_from.params_hash and resume_from.params_hash != expected_hash:
             raise ValidationError(

@@ -7,8 +7,9 @@ run at high frequency with a fixed matrix.  This package provides:
 * :class:`~repro.recon.linops.ProjectionOperator` — wraps any
   :class:`~repro.sparse.SpMVFormat` as forward/adjoint operator;
 * ART/Kaczmarz (:mod:`repro.recon.art`), SIRT (:mod:`repro.recon.sirt`),
-  CGLS (:mod:`repro.recon.cgls`) — row-action and gradient solvers that
-  consume CSR-style access;
+  CGLS (:mod:`repro.recon.cgls`), OS-SART (:mod:`repro.recon.os_sart`) —
+  row-action and gradient solvers, each a short recurrence run by the
+  one iteration driver (:mod:`repro.recon.driver`);
 * ICD — Iterative Coordinate Descent (:mod:`repro.recon.icd`), the
   column-action solver whose access pattern is *why* CSC-style formats
   (and hence CSCV) matter (Section III);

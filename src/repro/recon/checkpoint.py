@@ -8,8 +8,9 @@ state and the machinery around it:
   after iteration ``k``: the exact recurrence arrays (not just the
   iterate), the solver name, a hash of the validated parameters, and the
   residual history so far.  Resuming from it continues the run
-  **bitwise-identically** to one that was never interrupted — the solvers
-  restore the arrays verbatim and start the loop at ``k + 1``, executing
+  **bitwise-identically** to one that was never interrupted — the
+  iteration driver (:mod:`repro.recon.driver`) restores the arrays
+  verbatim and starts the loop at ``k + 1``, executing
   the exact floating-point operations the uninterrupted run would have.
 * :func:`save_checkpoint` / :func:`load_checkpoint` — atomic *and
   durable* persistence (single ``.npz`` blob staged through

@@ -45,8 +45,10 @@ class IterationEvent:
     k : int
         Zero-based iteration index.
     x : numpy.ndarray
-        The iterate the norms were measured against (the solver's output
-        shape: 1-D for a single sinogram, (n, k) for a batch).
+        The iterate leaving iteration ``k`` (the solver's output shape:
+        1-D for a single sinogram, (n, k) for a batch).  Which iterate
+        each norm was measured against differs per solver; see the table
+        in :mod:`repro.recon.driver`.
     residual_norm : float or None
         ``||y - A x||`` (Frobenius norm for a batch), when the solver
         computed it this iteration.

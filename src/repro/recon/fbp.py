@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
-from repro.recon.linops import ProjectionOperator
+from repro.recon.linops import ProjectionOperator, safe_reciprocal
 from repro.utils.arrays import check_1d, ensure_dtype
 
 
@@ -71,12 +71,7 @@ def fbp_reconstruct(
     col_sums = np.asarray(
         op.adjoint(np.ones(m, dtype=op.dtype)), dtype=np.float64
     )
-    scale = np.divide(
-        geom.num_views * geom.pixel_size,
-        col_sums,
-        out=np.zeros_like(col_sums),
-        where=col_sums > 1e-12,
-    )
+    scale = safe_reciprocal(col_sums, geom.num_views * geom.pixel_size)
     img *= scale
     if nonneg:
         np.maximum(img, 0, out=img)

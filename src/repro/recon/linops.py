@@ -22,6 +22,15 @@ from repro.sparse.matrix_base import SpMVFormat
 from repro.utils.arrays import check_1d, ensure_dtype
 
 
+def safe_reciprocal(sums: np.ndarray, numerator: float = 1.0) -> np.ndarray:
+    """``numerator / sums`` where ``sums > 1e-12``, else 0.
+
+    The normalisation rule of every SART-family weight: rows and columns
+    the matrix never touches get zero weight instead of a division by 0.
+    """
+    return np.divide(numerator, sums, out=np.zeros_like(sums), where=sums > 1e-12)
+
+
 class ProjectionOperator:
     """Forward/adjoint operator pair over one sparse format."""
 
@@ -29,6 +38,7 @@ class ProjectionOperator:
         self.fmt = fmt
         self._adj_fallback: SpMVFormat | None = None
         self._csr = None
+        self._sart = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -138,6 +148,21 @@ class ProjectionOperator:
 
     # ------------------------------------------------------------------ #
     # derived quantities the solvers need
+
+    def sart_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse row and column sums ``(1 / A 1, 1 / A^T 1)`` in float64.
+
+        The SIRT/ART normalisation, memoised: the operator is immutable,
+        so a reused or cached operator pays the two products once.  Two
+        threads racing on the first call both compute the same arrays;
+        either result is kept.
+        """
+        if self._sart is None:
+            m, n = self.shape
+            row_sums = np.asarray(self.forward(np.ones(n, dtype=self.dtype)), dtype=np.float64)
+            col_sums = np.asarray(self.adjoint(np.ones(m, dtype=self.dtype)), dtype=np.float64)
+            self._sart = (safe_reciprocal(row_sums), safe_reciprocal(col_sums))
+        return self._sart
 
     def row_norms_sq(self) -> np.ndarray:
         """``||a_i||^2`` per row — ART step sizes."""

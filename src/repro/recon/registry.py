@@ -22,8 +22,13 @@ solver silently ignores.  This module puts them behind one registry of
   bits (e.g. SIRT's ``rtol`` couples columns through the stacked norm,
   so ``rtol > 0`` jobs must run solo).
 
-The legacy functions remain importable and unchanged; the registry
-runners delegate to them.
+Each runner is a thin adapter to the solver's public function
+(``sirt_reconstruct`` & co., still importable on their own).  The four
+iterative ones are short recurrences over one shared iteration driver
+(:mod:`repro.recon.driver`), which owns batch coercion, ``x0`` and
+``resume_from`` validation, the watchdog, telemetry and the callback
+contract; capability checks (``resume``, ``needs_geom``, analytic
+solvers) are made once, by :func:`repro.api.reconstruct`.
 """
 
 from __future__ import annotations
@@ -42,9 +47,6 @@ __all__ = [
     "get_solver",
     "available_solvers",
 ]
-
-
-_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,10 @@ class Param:
 class SolverSpec:
     """One registered solver: schema, capabilities and a uniform runner.
 
-    ``run(op, sinogram, *, geom=None, x0=None, callback=None,
-    watchdog=None, **params)`` delegates to the legacy function with the
-    solver's own calling convention (OS-SART extracts a CSR matrix from
-    the operator, FBP passes the geometry positionally).
+    ``runner(op, sinogram, *, geom=None, x0=None, callback=None,
+    watchdog=None, resume_from=None, **params)`` calls the solver's
+    public function in its own calling convention (OS-SART extracts a
+    CSR matrix from the operator, FBP passes the geometry positionally).
     """
 
     name: str
@@ -142,7 +144,7 @@ class SolverSpec:
         return {
             p.name: p.default
             for p in self.params
-            if p.default is not None and p.default is not _REQUIRED
+            if p.default is not None
         }
 
     def validate_params(self, params: dict, *, apply_defaults: bool = False) -> dict:
@@ -182,72 +184,38 @@ class SolverSpec:
 
 
 # --------------------------------------------------------------------- #
-# runners: adapt each legacy entry point to the uniform signature
+# runners: adapt each public function to the uniform signature; the
+# facade has already rejected what a solver's capabilities exclude
 
 
-def _run_sirt(op, sinogram, *, geom=None, x0=None, callback=None,
-              watchdog=None, resume_from=None, **params):
+def _run_sirt(op, sinogram, *, geom=None, **kwargs):
     from repro.recon.sirt import sirt_reconstruct
 
-    return sirt_reconstruct(
-        op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
-        resume_from=resume_from, **params,
-    )
+    return sirt_reconstruct(op, sinogram, **kwargs)
 
 
-def _run_cgls(op, sinogram, *, geom=None, x0=None, callback=None,
-              watchdog=None, resume_from=None, **params):
+def _run_cgls(op, sinogram, *, geom=None, **kwargs):
     from repro.recon.cgls import cgls_reconstruct
 
-    return cgls_reconstruct(
-        op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
-        resume_from=resume_from, **params,
-    )
+    return cgls_reconstruct(op, sinogram, **kwargs)
 
 
-def _run_art(op, sinogram, *, geom=None, x0=None, callback=None,
-             watchdog=None, resume_from=None, **params):
+def _run_art(op, sinogram, *, geom=None, resume_from=None, **kwargs):
     from repro.recon.art import art_reconstruct
 
-    if resume_from is not None:
-        raise ValidationError(
-            "solver 'art' does not support resume_from (capability: "
-            "resume)"
-        )
-    return art_reconstruct(
-        op, sinogram, x0=x0, callback=callback, watchdog=watchdog, **params
-    )
+    return art_reconstruct(op, sinogram, **kwargs)
 
 
-def _run_os_sart(op, sinogram, *, geom=None, x0=None, callback=None,
-                 watchdog=None, resume_from=None, **params):
+def _run_os_sart(op, sinogram, *, geom=None, **kwargs):
     from repro.recon.os_sart import os_sart_reconstruct
 
-    if geom is None:
-        raise ValidationError(
-            "solver 'os-sart' requires geom= (its ordered subsets "
-            "partition the view axis)"
-        )
-    return os_sart_reconstruct(
-        op.to_csr(), geom, sinogram,
-        x0=x0, callback=callback, watchdog=watchdog,
-        resume_from=resume_from, **params,
-    )
+    return os_sart_reconstruct(op.to_csr(), geom, sinogram, **kwargs)
 
 
 def _run_fbp(op, sinogram, *, geom=None, x0=None, callback=None,
              watchdog=None, resume_from=None, **params):
     from repro.recon.fbp import fbp_reconstruct
 
-    if geom is None:
-        raise ValidationError(
-            "solver 'fbp' requires geom= (the ramp filter needs the "
-            "angular sampling)"
-        )
-    if resume_from is not None:
-        raise ValidationError(
-            "solver 'fbp' is analytic; resume_from= does not apply"
-        )
     return fbp_reconstruct(op, sinogram, geom, **params)
 
 

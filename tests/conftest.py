@@ -58,6 +58,28 @@ def backend(request):
     config.runtime.backend = prev
 
 
+@pytest.fixture(params=["sirt", "cgls", "os_sart", "art"])
+def iterative_solver(request):
+    """Each iterative solver's public function, called uniformly.
+
+    Returns ``solve(op, geom, sinogram, **kwargs)`` (OS-SART gets the
+    operator's CSR matrix and the geometry); ``solve.name`` is the
+    solver's metric and span prefix.
+    """
+    from repro import recon
+
+    name = request.param
+    fn = getattr(recon, f"{name}_reconstruct")
+
+    def solve(op, geom, sinogram, **kwargs):
+        if name == "os_sart":
+            return fn(op.to_csr(), geom, sinogram, **kwargs)
+        return fn(op, sinogram, **kwargs)
+
+    solve.name = name
+    return solve
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

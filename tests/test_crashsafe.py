@@ -185,19 +185,22 @@ class TestResumeValidation:
                 iterations=6, relax=0.7,
             )
 
-    def test_x0_and_watchdog_rejected(self, op, geom, sino):
+    # art cannot resume at all: test_unsupporting_solver_rejected
+    @pytest.mark.parametrize("solver,params", SOLVER_CASES)
+    def test_x0_and_watchdog_rejected(self, op, geom, sino, solver, params):
         box, cb = capture_checkpoint(2)
-        api.reconstruct(op, sino, solver="sirt", callback=cb, iterations=4)
+        api.reconstruct(op, sino, solver=solver, geom=geom, callback=cb,
+                        **params)
         state = box["state"]
         with pytest.raises(ValidationError, match="x0"):
             api.reconstruct(
-                op, sino, solver="sirt", resume_from=state,
-                x0=np.zeros(op.shape[1], dtype=op.dtype), iterations=4,
+                op, sino, solver=solver, geom=geom, resume_from=state,
+                x0=np.zeros(op.shape[1], dtype=op.dtype), **params,
             )
         with pytest.raises(ValidationError, match="watchdog"):
             api.reconstruct(
-                op, sino, solver="sirt", resume_from=state,
-                watchdog=True, iterations=4,
+                op, sino, solver=solver, geom=geom, resume_from=state,
+                watchdog=True, **params,
             )
 
     def test_unsupporting_solver_rejected(self, op, geom, sino):

@@ -335,20 +335,25 @@ class TestPipelineSpans:
         assert obs.registry.get("dispatch.fallback.csr_spmv").value >= 1
 
     def test_solver_iteration_spans_and_residual_gauge(self, traced, clean_metrics,
-                                                       small_ct_f32):
-        from repro.recon import ProjectionOperator, sirt_reconstruct
+                                                       small_ct_f32,
+                                                       iterative_solver):
+        from repro.recon import ProjectionOperator
         from repro.sparse.csr import CSRMatrix
 
         coo, geom = small_ct_f32
         op = ProjectionOperator(CSRMatrix.from_coo_matrix(coo))
         sino = op.forward(np.ones(coo.shape[1], dtype=np.float32))
-        sirt_reconstruct(op, sino, iterations=3)
-        iters = obs.tracer.find("sirt.iter")
+        # no callback: the gauge must not depend on one being attached
+        iterative_solver(op, geom, sino, iterations=3)
+        name = iterative_solver.name
+        gauge = obs.registry.get(f"{name}.residual")
+        assert gauge is not None, f"{name}.residual gauge never set"
+        assert gauge.value >= 0.0
+        assert obs.registry.get(f"{name}.iterations").value == 3
+        iters = obs.tracer.find(f"{name}.iter")
         assert len(iters) == 3
         assert [s.attrs["k"] for s in iters] == [0, 1, 2]
         assert all("residual" in s.attrs for s in iters)
-        assert obs.registry.get("sirt.iterations").value == 3
-        assert obs.registry.get("sirt.residual").value >= 0.0
 
     def test_build_metrics_recorded(self, clean_metrics, small_ct_f32):
         from repro.core.builder import build_cscv

@@ -142,6 +142,55 @@ class TestART:
         assert r_after < np.linalg.norm(sino)
 
 
+class _CountingOperator(ProjectionOperator):
+    """Operator proxy counting the forward and adjoint products it runs."""
+
+    products = 0
+
+    def forward(self, x, out=None):
+        self.products += 1
+        return super().forward(x, out)
+
+    def adjoint(self, y, out=None):
+        self.products += 1
+        return super().adjoint(y, out)
+
+
+class TestIterationContract:
+    """The per-iteration contract every iterative solver shares."""
+
+    def test_legacy_and_event_callbacks_once_per_iteration(
+        self, problem, iterative_solver
+    ):
+        from repro.recon import IterationEvent
+
+        _, geom, op, _, sino = problem
+        legacy, events = [], []
+
+        def on_event(event):
+            events.append(event)
+
+        iterative_solver(op, geom, sino, iterations=4,
+                         callback=lambda k, x, r: legacy.append((k, r)))
+        iterative_solver(op, geom, sino, iterations=4, callback=on_event)
+        assert [k for k, _ in legacy] == [0, 1, 2, 3]
+        assert [e.k for e in events] == [0, 1, 2, 3]
+        assert all(isinstance(e, IterationEvent) for e in events)
+        assert [r for _, r in legacy] == [e.norm for e in events]
+        assert all(e.x.shape == (op.shape[1],) for e in events)
+
+    @pytest.mark.parametrize("solve", [sirt_reconstruct, art_reconstruct])
+    def test_second_solve_reuses_normalisation_sums(self, problem, solve):
+        coo, _, _, _, sino = problem
+        op = _CountingOperator(CSRMatrix.from_coo_matrix(coo))
+        solve(op, sino, iterations=3)
+        first = op.products
+        solve(op, sino, iterations=3)
+        second = op.products - first
+        # the row and column sums are one forward and one adjoint product
+        assert second == first - 2
+
+
 class TestICD:
     @pytest.fixture(scope="class")
     def csc_problem(self):

@@ -677,19 +677,15 @@ class TestWatchdogInSolvers:
         r_g = self._rnorm(op, sino, x_g)
         assert np.isfinite(r_g) and r_g < float(np.linalg.norm(sino))
 
-    def test_art_watchdog_is_inert_on_convergent_run(self, problem):
-        _, _, op, _, sino = problem
-        a = art_reconstruct(op, sino, iterations=8, relax=0.9)
-        wd = ResidualWatchdog(solver="art")
-        b = art_reconstruct(op, sino, iterations=8, relax=0.9, watchdog=wd)
+    def test_watchdog_is_inert_on_convergent_run(self, problem,
+                                                 iterative_solver):
+        _, geom, op, _, sino = problem
+        kw = {} if iterative_solver.name == "cgls" else {"relax": 0.9}
+        a = iterative_solver(op, geom, sino, iterations=8, **kw)
+        wd = ResidualWatchdog(solver=iterative_solver.name)
+        b = iterative_solver(op, geom, sino, iterations=8, watchdog=wd, **kw)
         np.testing.assert_array_equal(a, b)
         assert wd.restarts == 0
-
-    def test_sirt_watchdog_is_inert_on_convergent_run(self, problem):
-        _, _, op, _, sino = problem
-        a = sirt_reconstruct(op, sino, iterations=8)
-        b = sirt_reconstruct(op, sino, iterations=8, watchdog=True)
-        np.testing.assert_array_equal(a, b)
 
     def test_cgls_restart_reinitialises_recurrence(self, problem):
         _, _, op, _, sino = problem
