@@ -4,8 +4,9 @@ Three execution paths, all numerically identical:
 
 * **C blocked** — the faithful pipeline: per block, zero a ``ytilde``
   scratch, stream VxGs as contiguous vector FMAs, scatter-add through the
-  inverse IOBLR map into per-thread private copies of ``y``, reduce
-  (Section IV-E threading scheme) — OpenMP inside the compiled kernel;
+  inverse IOBLR map into a private copy of ``y`` per chunk, reduce in
+  chunk order (the Section IV-E private-copy scheme made deterministic:
+  see :func:`chunk_plan`) — OpenMP inside the compiled kernel;
 * **NumPy flat** — a fully vectorised fallback: pre-resolved global row
   per value slot + one ``bincount`` scatter-add;
 * **NumPy threaded** — the flat path split over block ranges across a
@@ -15,11 +16,15 @@ Three execution paths, all numerically identical:
 The multi-RHS drivers (:func:`spmm_z` / :func:`spmm_m`) run the same VxG
 stream against ``X`` of shape ``(n, k)`` — the matrix streams from memory
 once for all ``k`` right-hand sides, which is where the batched CT
-workload (many slices, one system matrix) wins over looped SpMV.
+workload (many slices, one system matrix) wins over looped SpMV.  The
+adjoint drivers (:func:`adjoint_z` / :func:`adjoint_m`) run the stream
+in reverse for 1-D vectors and ``(m, k)`` stacks alike: gather ``ytilde``
+through the map, one contiguous dot product per VxG.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,6 +32,7 @@ import numpy as np
 from repro import config
 from repro.core.builder import CSCVData
 from repro.kernels import dispatch
+from repro.kernels.chunks import ChunkPlan, output_spans, split_units
 from repro.obs import metrics as obs_metrics
 from repro.obs import perf as obs_perf
 from repro.obs.trace import span
@@ -63,6 +69,43 @@ def _count_call(variant: str, backend: str) -> None:
         f"spmv.calls.{variant}.{backend}",
         "SpMV executions by CSCV variant and execution backend",
     ).inc()
+
+
+def chunk_plan(data: CSCVData) -> ChunkPlan:
+    """The operator's :class:`ChunkPlan`, derived once from its layout.
+
+    Chunks are contiguous block ranges balanced on value slots
+    (``blk_vxg_ptr``); the plan is memoised on *data* and shared by Z
+    and M, which share the layout.
+    """
+    plan = getattr(data, "_chunk_plan", None)
+    if plan is None:
+        work = data.blk_vxg_ptr * data.params.vxg_len
+        ptr = split_units(work, max(data.shape))
+        plan = ChunkPlan(
+            ptr=ptr,
+            rows=output_spans(data.ymap, data.blk_map_ptr[ptr]),
+            cols=output_spans(data.vxg_col, data.blk_vxg_ptr[ptr]),
+        )
+        data._chunk_plan = plan
+    return plan
+
+
+def _z_args(data: CSCVData, spans: str) -> tuple:
+    """CSCV-Z layout + chunk-plan arguments of the compiled drivers."""
+    plan = chunk_plan(data)
+    return (data.blk_vxg_ptr, data.vxg_col, data.vxg_start, data.values,
+            data.params.vxg_len, data.blk_ysize, data.blk_map_ptr, data.ymap,
+            data.max_ysize, plan.count, plan.ptr, getattr(plan, spans))
+
+
+def _m_args(data: CSCVData, spans: str) -> tuple:
+    """CSCV-M layout + chunk-plan arguments of the compiled drivers."""
+    plan = chunk_plan(data)
+    return (data.blk_vxg_ptr, data.vxg_col, data.vxg_start, data.vxg_voff,
+            data.vxg_masks, data.packed, data.params.s_vxg,
+            data.params.s_vvec, data.blk_ysize, data.blk_map_ptr, data.ymap,
+            data.max_ysize, plan.count, plan.ptr, getattr(plan, spans))
 
 
 def resolve_flat_rows_z(data: CSCVData) -> np.ndarray:
@@ -104,8 +147,12 @@ def _mask_lanes(masks: np.ndarray, s_vvec: int) -> np.ndarray:
 
 
 def spmv_z(data: CSCVData, x: np.ndarray, y: np.ndarray, *, threads: int | None = None,
-           flat_rows: np.ndarray | None = None) -> np.ndarray:
-    """CSCV-Z SpMV into *y* (overwritten)."""
+           flat_rows: Callable[[], np.ndarray] | None = None) -> np.ndarray:
+    """CSCV-Z SpMV into *y* (overwritten).
+
+    *flat_rows* returns the format's memoised slot -> row map; only the
+    NumPy paths call it, so the compiled path never materialises it.
+    """
     threads = threads or config.runtime.threads
     y[:] = 0
     if data.nnz == 0:
@@ -115,27 +162,12 @@ def spmv_z(data: CSCVData, x: np.ndarray, y: np.ndarray, *, threads: int | None 
     if fn is not None:
         with span("spmv.z", backend="c", nnz=data.nnz,
                   blocks=data.num_blocks, threads=int(threads)):
-            fn(
-                data.shape[0],
-                data.num_blocks,
-                data.blk_vxg_ptr,
-                data.vxg_col,
-                data.vxg_start,
-                data.values,
-                data.params.vxg_len,
-                data.blk_ysize,
-                data.blk_map_ptr,
-                data.ymap,
-                x,
-                y,
-                data.max_ysize,
-                int(threads),
-            )
+            fn(data.shape[0], *_z_args(data, "rows"), x, y, int(threads))
         _count_call("z", "c")
         if obs_perf.active:
             obs_perf.record_cscv("spmv", "z", "c", data, obs_perf.clock() - t0)
         return y
-    rows = flat_rows if flat_rows is not None else resolve_flat_rows_z(data)
+    rows = flat_rows() if flat_rows is not None else resolve_flat_rows_z(data)
     if threads <= 1 or data.num_blocks < 2 * threads:
         with span("spmv.z", backend="flat", nnz=data.nnz, blocks=data.num_blocks):
             _accumulate_z(data, x, y, rows, 0, data.num_blocks)
@@ -167,7 +199,7 @@ def _accumulate_z(data, x, y, rows, b0, b1):
 
 
 def spmv_m(data: CSCVData, x: np.ndarray, y: np.ndarray, *, threads: int | None = None,
-           flat_rows: np.ndarray | None = None) -> np.ndarray:
+           flat_rows: Callable[[], np.ndarray] | None = None) -> np.ndarray:
     """CSCV-M SpMV into *y* (overwritten) — packed values + soft-vexpand."""
     threads = threads or config.runtime.threads
     y[:] = 0
@@ -178,30 +210,12 @@ def spmv_m(data: CSCVData, x: np.ndarray, y: np.ndarray, *, threads: int | None 
     if fn is not None:
         with span("spmv.m", backend="c", nnz=data.nnz,
                   blocks=data.num_blocks, threads=int(threads)):
-            fn(
-                data.shape[0],
-                data.num_blocks,
-                data.blk_vxg_ptr,
-                data.vxg_col,
-                data.vxg_start,
-                data.vxg_voff,
-                data.vxg_masks,
-                data.packed,
-                data.params.s_vxg,
-                data.params.s_vvec,
-                data.blk_ysize,
-                data.blk_map_ptr,
-                data.ymap,
-                x,
-                y,
-                data.max_ysize,
-                int(threads),
-            )
+            fn(data.shape[0], *_m_args(data, "rows"), x, y, int(threads))
         _count_call("m", "c")
         if obs_perf.active:
             obs_perf.record_cscv("spmv", "m", "c", data, obs_perf.clock() - t0)
         return y
-    rows = flat_rows if flat_rows is not None else resolve_flat_rows_m(data)
+    rows = flat_rows() if flat_rows is not None else resolve_flat_rows_m(data)
     if threads <= 1 or data.num_blocks < 2 * threads:
         with span("spmv.m", backend="flat", nnz=data.nnz, blocks=data.num_blocks):
             _accumulate_m(data, x, y, rows, 0, data.num_blocks)
@@ -261,7 +275,7 @@ def _threaded(data, x, y, rows, threads, accumulate):
 
 def spmm_z(data: CSCVData, X: np.ndarray, Y: np.ndarray, *,
            threads: int | None = None,
-           flat_rows: np.ndarray | None = None) -> np.ndarray:
+           flat_rows: Callable[[], np.ndarray] | None = None) -> np.ndarray:
     """CSCV-Z multi-RHS SpMV: ``Y[:] = A @ X`` with ``X`` of shape (n, k)."""
     threads = threads or config.runtime.threads
     Y[:] = 0
@@ -273,28 +287,12 @@ def spmm_z(data: CSCVData, X: np.ndarray, Y: np.ndarray, *,
     if fn is not None:
         with span("spmm.z", backend="c", nnz=data.nnz, batch=k,
                   blocks=data.num_blocks, threads=int(threads)):
-            fn(
-                data.shape[0],
-                k,
-                data.num_blocks,
-                data.blk_vxg_ptr,
-                data.vxg_col,
-                data.vxg_start,
-                data.values,
-                data.params.vxg_len,
-                data.blk_ysize,
-                data.blk_map_ptr,
-                data.ymap,
-                X,
-                Y,
-                data.max_ysize,
-                int(threads),
-            )
+            fn(data.shape[0], k, *_z_args(data, "rows"), X, Y, int(threads))
         _count_call("z_mm", "c")
         if obs_perf.active:
             obs_perf.record_cscv("spmm", "z", "c", data, obs_perf.clock() - t0, k)
         return Y
-    rows = flat_rows if flat_rows is not None else resolve_flat_rows_z(data)
+    rows = flat_rows() if flat_rows is not None else resolve_flat_rows_z(data)
     if threads <= 1 or data.num_blocks < 2 * threads:
         with span("spmm.z", backend="flat", nnz=data.nnz, batch=k,
                   blocks=data.num_blocks):
@@ -334,7 +332,7 @@ def _accumulate_z_mm(data, X, Y, rows, b0, b1):
 
 def spmm_m(data: CSCVData, X: np.ndarray, Y: np.ndarray, *,
            threads: int | None = None,
-           flat_rows: np.ndarray | None = None) -> np.ndarray:
+           flat_rows: Callable[[], np.ndarray] | None = None) -> np.ndarray:
     """CSCV-M multi-RHS SpMV over the packed value stream."""
     threads = threads or config.runtime.threads
     Y[:] = 0
@@ -346,31 +344,12 @@ def spmm_m(data: CSCVData, X: np.ndarray, Y: np.ndarray, *,
     if fn is not None:
         with span("spmm.m", backend="c", nnz=data.nnz, batch=k,
                   blocks=data.num_blocks, threads=int(threads)):
-            fn(
-                data.shape[0],
-                k,
-                data.num_blocks,
-                data.blk_vxg_ptr,
-                data.vxg_col,
-                data.vxg_start,
-                data.vxg_voff,
-                data.vxg_masks,
-                data.packed,
-                data.params.s_vxg,
-                data.params.s_vvec,
-                data.blk_ysize,
-                data.blk_map_ptr,
-                data.ymap,
-                X,
-                Y,
-                data.max_ysize,
-                int(threads),
-            )
+            fn(data.shape[0], k, *_m_args(data, "rows"), X, Y, int(threads))
         _count_call("m_mm", "c")
         if obs_perf.active:
             obs_perf.record_cscv("spmm", "m", "c", data, obs_perf.clock() - t0, k)
         return Y
-    rows = flat_rows if flat_rows is not None else resolve_flat_rows_m(data)
+    rows = flat_rows() if flat_rows is not None else resolve_flat_rows_m(data)
     if threads <= 1 or data.num_blocks < 2 * threads:
         with span("spmm.m", backend="flat", nnz=data.nnz, batch=k,
                   blocks=data.num_blocks):
@@ -404,3 +383,82 @@ def _accumulate_m_mm(data, X, Y, rows, b0, b1):
     Y += np.bincount(
         keys, weights=contrib.ravel(), minlength=data.shape[0] * k
     ).reshape(data.shape[0], k).astype(data.dtype, copy=False)
+
+
+# ---------------------------------------------------------------------- #
+# adjoint drivers: x = A^T y for 1-D vectors and (m, k) stacks alike
+
+
+def adjoint_z(data: CSCVData, Y: np.ndarray, X: np.ndarray, *,
+              threads: int | None = None,
+              flat_rows: Callable[[], np.ndarray] | None = None) -> np.ndarray:
+    """CSCV-Z back-projection ``X[:] = A^T Y`` (overwritten).
+
+    ``Y`` is ``(m,)`` or ``(m, k)`` and ``X`` the matching ``(n,)`` or
+    ``(n, k)``, both C-contiguous in the matrix dtype.  One compiled
+    kernel serves both shapes — a vector is the k = 1 stack — so the 1-D
+    adjoint equals the ``(m, 1)`` one bitwise, and column j of a k-wide
+    call equals its k = 1 run.
+    """
+    return _adjoint("z", data, Y, X, threads, flat_rows)
+
+
+def adjoint_m(data: CSCVData, Y: np.ndarray, X: np.ndarray, *,
+              threads: int | None = None,
+              flat_rows: Callable[[], np.ndarray] | None = None) -> np.ndarray:
+    """CSCV-M back-projection over the packed value stream (see
+    :func:`adjoint_z`)."""
+    return _adjoint("m", data, Y, X, threads, flat_rows)
+
+
+def _adjoint(variant, data, Y, X, threads, flat_rows):
+    threads = int(threads or config.runtime.threads)
+    op, k = ("tspmv", 1) if Y.ndim == 1 else ("tspmm", Y.shape[1])
+    if data.nnz == 0 or k == 0:
+        X[...] = 0
+        return X
+    args, resolve, reference = _ADJOINT[variant]
+    t0 = obs_perf.clock() if obs_perf.active else 0.0
+    fn = dispatch.get(f"cscv_{variant}_tspmm", data.dtype)
+    backend = "flat" if fn is None else "c"
+    with span(f"{op}.{variant}", backend=backend, nnz=data.nnz, batch=k,
+              blocks=data.num_blocks, threads=threads):
+        if fn is not None:
+            fn(data.shape[1], k, *args(data, "cols"), Y, X, threads)
+        else:
+            rows = flat_rows() if flat_rows is not None else resolve(data)
+            reference(data, Y.reshape(data.shape[0], k),
+                      X.reshape(data.shape[1], k), rows)
+    _count_call(f"{variant}_t" if op == "tspmv" else f"{variant}_tmm", backend)
+    if obs_perf.active:
+        obs_perf.record_cscv(op, variant, backend, data, obs_perf.clock() - t0, k)
+    return X
+
+
+def _adjoint_z_numpy(data, Y, X, rows):
+    """Reference: float64 slot products, per-VxG sums, one bincount."""
+    k = Y.shape[1]
+    valid = rows >= 0
+    contrib = np.zeros((rows.size, k), dtype=np.float64)
+    contrib[valid] = data.values[valid, None] * Y[rows[valid]]
+    per_vxg = contrib.reshape(data.num_vxg, data.params.vxg_len, k).sum(axis=1)
+    X[:] = _bincount_lanes(data.vxg_col, per_vxg, X.shape[0])
+
+
+def _adjoint_m_numpy(data, Y, X, rows):
+    """Reference: packed-value products scattered to their columns."""
+    xcols = np.repeat(data.e_col, np.diff(data.voff))
+    X[:] = _bincount_lanes(xcols, data.packed[:, None] * Y[rows], X.shape[0])
+
+
+def _bincount_lanes(cols, weights, n):
+    """``out[c, j] = sum of weights[i, j] over i with cols[i] == c``."""
+    k = weights.shape[1]
+    keys = (cols.astype(np.int64)[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(keys, weights=weights.ravel(), minlength=n * k).reshape(n, k)
+
+
+_ADJOINT = {
+    "z": (_z_args, resolve_flat_rows_z, _adjoint_z_numpy),
+    "m": (_m_args, resolve_flat_rows_m, _adjoint_m_numpy),
+}

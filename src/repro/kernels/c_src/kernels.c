@@ -10,12 +10,14 @@
  * Index conventions match the Python side: 32-bit element indices,
  * 64-bit sizes/pointers offsets.
  *
- * Built with: cc -O3 -march=native -fopenmp -fPIC -shared
+ * Built with: cc -O3 -march=native -fopenmp -fPIC -shared -std=c11
+ *             -ffp-contract=off
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <math.h>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -51,32 +53,6 @@ EXPORT void csr_spmv_##SUF(int64_t m, const int32_t *row_ptr,               \
 
 DEFINE_CSR(f32, float)
 DEFINE_CSR(f64, double)
-
-/* ------------------------------------------------------------------ */
-/* CSR SpMM: Y = A X with X (n, k) and Y (m, k), both row-major.        */
-/* Each nonzero streams once and fans out across the k RHS lanes — the  */
-/* k-loop is contiguous in both X and Y, so it vectorises cleanly and   */
-/* the matrix traffic is amortised k ways.                              */
-
-#define DEFINE_CSR_SPMM(SUF, T)                                             \
-EXPORT void csr_spmm_##SUF(int64_t m, int64_t k, const int32_t *row_ptr,    \
-                           const int32_t *col_idx, const T *vals,           \
-                           const T *X, T *Y) {                              \
-    _Pragma("omp parallel for schedule(static)")                            \
-    for (int64_t i = 0; i < m; ++i) {                                       \
-        T *yr = Y + i * k;                                                  \
-        for (int64_t j = 0; j < k; ++j) yr[j] = (T)0;                       \
-        for (int32_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {             \
-            const T a = vals[p];                                            \
-            const T *xr = X + (int64_t)col_idx[p] * k;                      \
-            for (int64_t j = 0; j < k; ++j)                                 \
-                yr[j] += a * xr[j];                                         \
-        }                                                                   \
-    }                                                                       \
-}
-
-DEFINE_CSR_SPMM(f32, float)
-DEFINE_CSR_SPMM(f64, double)
 
 /* ------------------------------------------------------------------ */
 /* CSC: paper Algorithm 1 — scatter x_i * vals into y (single thread:   */
@@ -119,30 +95,295 @@ DEFINE_ELL(f32, float)
 DEFINE_ELL(f64, double)
 
 /* ------------------------------------------------------------------ */
-/* CSCV-Z block kernel: VxGs of s_vxg CSCVEs, each s_vvec wide.         */
-/* values laid out VxG-contiguous; ytilde access is contiguous, so the  */
-/* inner loop is a pure vector FMA — no gather, no scatter.             */
+/* Fixed-order chunk reduction: the one threading rule of every driver  */
+/* whose threads would otherwise race on shared outputs (CSCV forward   */
+/* and adjoint, CSR adjoint).                                           */
+/*                                                                      */
+/* The Python side splits the work units (CSCV blocks, CSR rows) into a */
+/* fixed, nnz-balanced list of chunks once per operator                 */
+/* (repro.core.spmv.chunk_plan):                                        */
+/*   chunk_ptr[c] .. chunk_ptr[c+1] : the units of chunk c              */
+/*   span[2c] .. span[2c+1]         : output rows [lo, hi) it touches   */
+/* Chunk c accumulates into a private (hi - lo) x k output; the private */
+/* outputs are then added into the zeroed result in chunk-index order   */
+/* (the rule repro.dist's fixed_order_sum applies across processes).    */
+/* Chunks, the order inside a chunk and the summation order depend on   */
+/* the operator alone, so results are bitwise-identical for any thread  */
+/* count: nthreads <= 1 streams the chunks through one scratch buffer   */
+/* with exactly the same arithmetic.                                    */
 
-#define DEFINE_CSCV_Z_BLOCK(SUF, T)                                         \
-static void cscv_z_block_##SUF(int64_t num_vxg, int64_t vxg_len,            \
-                               const int32_t *vxg_col,                      \
-                               const int32_t *vxg_start, const T *values,   \
-                               const T *x, T *ytilde) {                     \
-    for (int64_t g = 0; g < num_vxg; ++g) {                                 \
-        const T xv = x[vxg_col[g]];                                         \
-        const T *v = values + g * vxg_len;                                  \
-        T *yt = ytilde + vxg_start[g];                                      \
-        for (int64_t k = 0; k < vxg_len; ++k)                               \
-            yt[k] += xv * v[k];                                             \
+typedef void (*chunk_fn)(const void *ctx, int64_t u0, int64_t u1, void *priv,
+                         int64_t lo);
+
+/* output rows per reduction tile (threads split the output, each tile  */
+/* adds the chunks covering it in chunk order)                          */
+#define RED_ROWS 1024
+
+#define DEFINE_RUN_CHUNKS(SUF, T)                                           \
+static void run_chunks_##SUF(int64_t nout, int64_t k, int64_t nchunks,      \
+                             const int64_t *chunk_ptr, const int64_t *span, \
+                             T *out, int nthreads, chunk_fn fn,             \
+                             const void *ctx) {                             \
+    memset(out, 0, (size_t)(nout * k) * sizeof(T));                         \
+    if (k == 0 || nchunks <= 0) return;                                     \
+    int64_t *off = (int64_t *)malloc((size_t)(nchunks + 1) * sizeof(int64_t)); \
+    int64_t wmax = 0;                                                       \
+    off[0] = 0;                                                             \
+    for (int64_t c = 0; c < nchunks; ++c) {                                 \
+        const int64_t w = (span[2 * c + 1] - span[2 * c]) * k;              \
+        off[c + 1] = off[c] + w;                                            \
+        if (w > wmax) wmax = w;                                             \
+    }                                                                       \
+    if (nthreads > nchunks) nthreads = (int)nchunks;                        \
+    if (nthreads <= 1) {                                                    \
+        T *priv = (T *)malloc((size_t)(wmax > 0 ? wmax : 1) * sizeof(T));  \
+        for (int64_t c = 0; c < nchunks; ++c) {                             \
+            const int64_t lo = span[2 * c], w = off[c + 1] - off[c];        \
+            memset(priv, 0, (size_t)w * sizeof(T));                         \
+            fn(ctx, chunk_ptr[c], chunk_ptr[c + 1], priv, lo);              \
+            T *dst = out + lo * k;                                          \
+            for (int64_t i = 0; i < w; ++i) dst[i] += priv[i];              \
+        }                                                                   \
+        free(priv);                                                         \
+        free(off);                                                          \
+        return;                                                             \
+    }                                                                       \
+    T *priv = (T *)malloc((size_t)(off[nchunks] > 0 ? off[nchunks] : 1)     \
+                          * sizeof(T));                                     \
+    _Pragma("omp parallel num_threads(nthreads)")                           \
+    {                                                                       \
+        _Pragma("omp for schedule(static, 1)")                              \
+        for (int64_t c = 0; c < nchunks; ++c) {                             \
+            memset(priv + off[c], 0, (size_t)(off[c + 1] - off[c]) * sizeof(T)); \
+            fn(ctx, chunk_ptr[c], chunk_ptr[c + 1], priv + off[c],          \
+               span[2 * c]);                                                \
+        }                                                                   \
+        _Pragma("omp for schedule(static)")                                 \
+        for (int64_t r0 = 0; r0 < nout; r0 += RED_ROWS) {                   \
+            const int64_t r1 = r0 + RED_ROWS < nout ? r0 + RED_ROWS : nout; \
+            for (int64_t c = 0; c < nchunks; ++c) {                         \
+                const int64_t lo = span[2 * c];                             \
+                const int64_t a = r0 > lo ? r0 : lo;                        \
+                const int64_t b = r1 < span[2 * c + 1] ? r1 : span[2 * c + 1]; \
+                T *dst = out + a * k;                                       \
+                const T *src = priv + off[c] + (a - lo) * k;                \
+                for (int64_t i = 0; i < (b - a) * k; ++i) dst[i] += src[i]; \
+            }                                                               \
+        }                                                                   \
+    }                                                                       \
+    free(priv);                                                             \
+    free(off);                                                              \
+}
+
+DEFINE_RUN_CHUNKS(f32, float)
+DEFINE_RUN_CHUNKS(f64, double)
+
+/* ------------------------------------------------------------------ */
+/* Lane-major multi-RHS kernels.                                        */
+/*                                                                      */
+/* Stacks are row-major (rows, k): the k lanes of one row are           */
+/* contiguous, and every kernel below puts the lane loop innermost.     */
+/* LANES(k, BODY) runs BODY(K, LD, J0) with a compile-time lane count   */
+/* K: one call when k is 1, 2, 4 or 8 (LD = K, so a whole slot run is   */
+/* contiguous and vectorises like the 1-D kernel), else 8-wide panels   */
+/* plus a 4/2/1 remainder at row stride LD = k.  Every variant applies  */
+/* the same operations to a lane in the same order, and the build       */
+/* disables FMA contraction (-std=c11 -ffp-contract=off), so column j   */
+/* of a k-wide call is bitwise equal to its k = 1 run.                  */
+
+#define INLINE static inline __attribute__((always_inline))
+
+/* Vectorise a lane loop across its K lanes.  Without it GCC vectorises
+ * the enclosing slot loop instead, as K in-order reductions, and the
+ * k = 8 adjoint runs about 3x slower.  Lanes never interact, so the
+ * per-lane order (and with it every bit) is the same either way. */
+#define LANE_SIMD _Pragma("omp simd")
+
+#define LANES(k, BODY)                                                      \
+    switch (k) {                                                            \
+    case 1: BODY(1, 1, 0); break;                                           \
+    case 2: BODY(2, 2, 0); break;                                           \
+    case 4: BODY(4, 4, 0); break;                                           \
+    case 8: BODY(8, 8, 0); break;                                           \
+    default: {                                                              \
+        int64_t j0_ = 0;                                                    \
+        for (; (k) - j0_ >= 8; j0_ += 8) BODY(8, (k), j0_);                 \
+        if ((k) - j0_ >= 4) { BODY(4, (k), j0_); j0_ += 4; }                \
+        if ((k) - j0_ >= 2) { BODY(2, (k), j0_); j0_ += 2; }                \
+        if ((k) - j0_ >= 1) BODY(1, (k), j0_);                              \
+    } }
+
+#ifdef __GNUC__
+#define CTZ32(x) __builtin_ctz((unsigned)(x))
+#else
+static inline int ctz32_sw(uint32_t v) {
+    int c = 0;
+    while (!(v & 1u)) { v >>= 1; ++c; }
+    return c;
+}
+#define CTZ32(x) ctz32_sw(x)
+#endif
+
+/* Everything a CSCV chunk needs: the block layout, the IOBLR reorder   */
+/* map, and the input stack (x for the forward, y for the adjoint).     */
+typedef struct {
+    const int64_t *blk_vxg_ptr;
+    const int32_t *vxg_col;
+    const int32_t *vxg_start;
+    const void *values;         /* Z: padded slots; M: packed nonzeros */
+    const int64_t *vxg_voff;    /* M only */
+    const uint32_t *vxg_masks;  /* M only */
+    int64_t vxg_len, s_vxg, s_vvec;
+    const int64_t *blk_ysize;
+    const int64_t *blk_map_ptr;
+    const int32_t *map;
+    int64_t max_ysize, k;
+    const void *in;
+} cscv_ctx;
+
+#define DEFINE_LANE_KERNELS(SUF, T)                                         \
+/* CSCV-Z forward: one contiguous FMA run per VxG into ytilde.  */         \
+INLINE void z_fwd_lanes_##SUF(int64_t K, int64_t ld, int64_t j0,            \
+        int64_t ng, int64_t len, const int32_t *restrict col,               \
+        const int32_t *restrict start, const T *restrict v,                 \
+        const T *restrict X, T *restrict yt) {                              \
+    for (int64_t g = 0; g < ng; ++g) {                                      \
+        const T *xr = X + (int64_t)col[g] * ld + j0;                        \
+        T *yg = yt + (int64_t)start[g] * ld + j0;                           \
+        const T *vg = v + g * len;                                          \
+        for (int64_t s = 0; s < len; ++s) {                                \
+            const T vs = vg[s];                                             \
+            LANE_SIMD                                                       \
+            for (int64_t j = 0; j < K; ++j) yg[s * ld + j] += vs * xr[j];   \
+        }                                                                   \
+    }                                                                       \
+}                                                                           \
+/* CSCV-Z adjoint: one contiguous dot product per VxG and lane.  */        \
+INLINE void z_adj_lanes_##SUF(int64_t K, int64_t ld, int64_t j0,            \
+        int64_t ng, int64_t len, const int32_t *restrict col,               \
+        const int32_t *restrict start, const T *restrict v,                 \
+        const T *restrict yt, T *restrict out, int64_t lo) {                \
+    for (int64_t g = 0; g < ng; ++g) {                                      \
+        const T *yg = yt + (int64_t)start[g] * ld + j0;                     \
+        const T *vg = v + g * len;                                          \
+        T acc[8];                                                           \
+        for (int64_t j = 0; j < K; ++j) acc[j] = (T)0;                      \
+        for (int64_t s = 0; s < len; ++s) {                                 \
+            const T vs = vg[s];                                             \
+            LANE_SIMD                                                       \
+            for (int64_t j = 0; j < K; ++j) acc[j] += vs * yg[s * ld + j];  \
+        }                                                                   \
+        T *xo = out + ((int64_t)col[g] - lo) * ld + j0;                     \
+        for (int64_t j = 0; j < K; ++j) xo[j] += acc[j];                    \
+    }                                                                       \
+}                                                                           \
+/* CSCV-M forward: walk the set mask bits (soft-vexpand), each packed   */ \
+/* value feeding a K-wide FMA.                                          */ \
+INLINE void m_fwd_lanes_##SUF(int64_t K, int64_t ld, int64_t j0,            \
+        int64_t ng, int64_t s_vxg, int64_t s_vvec,                          \
+        const int32_t *restrict col, const int32_t *restrict start,         \
+        const int64_t *restrict voff, const uint32_t *restrict masks,       \
+        const T *restrict packed, const T *restrict X, T *restrict yt) {    \
+    for (int64_t g = 0; g < ng; ++g) {                                      \
+        const T *xr = X + (int64_t)col[g] * ld + j0;                        \
+        const T *pv = packed + voff[g];                                     \
+        T *yg = yt + (int64_t)start[g] * ld + j0;                           \
+        const uint32_t *gm = masks + g * s_vxg;                             \
+        for (int64_t e = 0; e < s_vxg; ++e) {                               \
+            for (uint32_t mask = gm[e]; mask; mask &= mask - 1) {           \
+                T *ys = yg + (e * s_vvec + CTZ32(mask)) * ld;               \
+                const T a = *pv++;                                          \
+                LANE_SIMD                                                   \
+                for (int64_t j = 0; j < K; ++j) ys[j] += a * xr[j];         \
+            }                                                               \
+        }                                                                   \
+    }                                                                       \
+}                                                                           \
+/* CSCV-M adjoint: the same bit walk as a dot product per VxG and lane. */ \
+INLINE void m_adj_lanes_##SUF(int64_t K, int64_t ld, int64_t j0,            \
+        int64_t ng, int64_t s_vxg, int64_t s_vvec,                          \
+        const int32_t *restrict col, const int32_t *restrict start,         \
+        const int64_t *restrict voff, const uint32_t *restrict masks,       \
+        const T *restrict packed, const T *restrict yt, T *restrict out,    \
+        int64_t lo) {                                                       \
+    for (int64_t g = 0; g < ng; ++g) {                                      \
+        const T *pv = packed + voff[g];                                     \
+        const T *yg = yt + (int64_t)start[g] * ld + j0;                     \
+        const uint32_t *gm = masks + g * s_vxg;                             \
+        T acc[8];                                                           \
+        for (int64_t j = 0; j < K; ++j) acc[j] = (T)0;                      \
+        for (int64_t e = 0; e < s_vxg; ++e) {                               \
+            for (uint32_t mask = gm[e]; mask; mask &= mask - 1) {           \
+                const T *ys = yg + (e * s_vvec + CTZ32(mask)) * ld;         \
+                const T a = *pv++;                                          \
+                LANE_SIMD                                                   \
+                for (int64_t j = 0; j < K; ++j) acc[j] += a * ys[j];        \
+            }                                                               \
+        }                                                                   \
+        T *xo = out + ((int64_t)col[g] - lo) * ld + j0;                     \
+        for (int64_t j = 0; j < K; ++j) xo[j] += acc[j];                    \
+    }                                                                       \
+}                                                                           \
+/* Block epilogue of the forward: scatter-add ytilde through the map.  */  \
+INLINE void scatter_lanes_##SUF(int64_t K, int64_t ld, int64_t j0,          \
+        int64_t ysz, const int32_t *restrict bmap,                          \
+        const T *restrict yt, T *restrict out, int64_t lo) {                \
+    for (int64_t p = 0; p < ysz; ++p) {                                     \
+        const int32_t t = bmap[p];                                          \
+        if (t < 0) continue;                                                \
+        T *yr = out + ((int64_t)t - lo) * ld + j0;                          \
+        const T *ys = yt + p * ld + j0;                                     \
+        LANE_SIMD                                                           \
+        for (int64_t j = 0; j < K; ++j) yr[j] += ys[j];                     \
+    }                                                                       \
+}                                                                           \
+/* Block prologue of the adjoint: gather ytilde through the map.  */       \
+INLINE void gather_lanes_##SUF(int64_t K, int64_t ld, int64_t j0,           \
+        int64_t ysz, const int32_t *restrict bmap, const T *restrict Y,     \
+        T *restrict yt) {                                                   \
+    for (int64_t p = 0; p < ysz; ++p) {                                     \
+        const int32_t t = bmap[p];                                          \
+        T *ys = yt + p * ld + j0;                                           \
+        const T *yr = Y + (int64_t)(t >= 0 ? t : 0) * ld + j0;              \
+        LANE_SIMD                                                           \
+        for (int64_t j = 0; j < K; ++j) ys[j] = t >= 0 ? yr[j] : (T)0;      \
+    }                                                                       \
+}                                                                           \
+/* CSR forward of one row: Y[i, :] = sum of vals[p] * X[col[p], :].  */   \
+INLINE void csr_fwd_lanes_##SUF(int64_t K, int64_t ld, int64_t j0,          \
+        int32_t p0, int32_t p1, const int32_t *restrict col,                \
+        const T *restrict vals, const T *restrict X, T *restrict yr) {      \
+    T acc[8];                                                               \
+    for (int64_t j = 0; j < K; ++j) acc[j] = (T)0;                          \
+    for (int32_t p = p0; p < p1; ++p) {                                     \
+        const T a = vals[p];                                                \
+        const T *xr = X + (int64_t)col[p] * ld + j0;                        \
+        LANE_SIMD                                                           \
+        for (int64_t j = 0; j < K; ++j) acc[j] += a * xr[j];                \
+    }                                                                       \
+    for (int64_t j = 0; j < K; ++j) yr[j0 + j] = acc[j];                    \
+}                                                                           \
+/* CSR adjoint of one row: scatter vals[p] * Y[i, :] into X[col[p], :]. */ \
+INLINE void csr_adj_lanes_##SUF(int64_t K, int64_t ld, int64_t j0,          \
+        int32_t p0, int32_t p1, const int32_t *restrict col,                \
+        const T *restrict vals, const T *restrict yr, T *restrict out,      \
+        int64_t lo) {                                                       \
+    for (int32_t p = p0; p < p1; ++p) {                                     \
+        const T a = vals[p];                                                \
+        T *xo = out + ((int64_t)col[p] - lo) * ld + j0;                     \
+        LANE_SIMD                                                           \
+        for (int64_t j = 0; j < K; ++j) xo[j] += a * yr[j0 + j];            \
     }                                                                       \
 }
 
-DEFINE_CSCV_Z_BLOCK(f32, float)
-DEFINE_CSCV_Z_BLOCK(f64, double)
+DEFINE_LANE_KERNELS(f32, float)
+DEFINE_LANE_KERNELS(f64, double)
 
 /* ------------------------------------------------------------------ */
-/* CSCV-M block kernel: packed nonzeros + per-CSCVE bitmask.            */
+/* CSCV-M 1-D block kernel: packed nonzeros + per-CSCVE bitmask.        */
 /* Hardware vexpand (AVX-512) when available, soft-vexpand otherwise.   */
+/* Only the 1-D forward uses it; the lane kernels above serve every     */
+/* stack, so their per-lane arithmetic does not depend on k.            */
 
 #ifdef HAVE_VEXPAND
 static inline void vexpand_fma_f32(float *yt, const float *pv, uint32_t mask,
@@ -235,7 +476,8 @@ DEFINE_CSCV_M_BLOCK(f32, float)
 DEFINE_CSCV_M_BLOCK(f64, double)
 
 /* ------------------------------------------------------------------ */
-/* Full CSCV drivers: loop blocks (OpenMP), private y copies, reduce.   */
+/* CSCV chunk workers: the per-block pipeline of Algorithm 3 over the   */
+/* blocks [b0, b1) of one chunk, into that chunk's private output.      */
 /*                                                                      */
 /* Layouts (built by repro.core.builder):                               */
 /*   blk_vxg_ptr[num_blocks+1] : VxG ranges per block                   */
@@ -243,315 +485,270 @@ DEFINE_CSCV_M_BLOCK(f64, double)
 /*   vxg_start[g] : offset into the block's ytilde scratch              */
 /*   blk_ysize[b] : ytilde length of block b                            */
 /*   blk_map_ptr[num_blocks+1], map[] : ytilde pos -> global y (or -1)  */
-/* y must hold m zeros on entry.                                        */
+/* ytilde holds k lanes per slot (slot-major), so the reorder through   */
+/* the map moves contiguous k-vectors.                                  */
+/*                                                                      */
+/* Forward: zero ytilde, stream the VxGs as contiguous FMAs, scatter-   */
+/* add through the map.  Adjoint (x = A^T y, CT back-projection; the    */
+/* paper's future work): gather ytilde through the map — the forward    */
+/* reorder run in reverse — then one contiguous dot product per VxG.    */
 
-#define DEFINE_CSCV_Z_FULL(SUF, T)                                          \
-static void cscv_z_seq_##SUF(                                               \
-        int64_t num_blocks, const int64_t *blk_vxg_ptr,                     \
-        const int32_t *vxg_col, const int32_t *vxg_start, const T *values,  \
-        int64_t vxg_len, const int64_t *blk_ysize,                          \
-        const int64_t *blk_map_ptr, const int32_t *map, const T *x, T *y,   \
-        T *ytilde) {                                                        \
-    for (int64_t b = 0; b < num_blocks; ++b) {                              \
-        const int64_t ysz = blk_ysize[b];                                   \
-        memset(ytilde, 0, (size_t)ysz * sizeof(T));                         \
-        const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];         \
-        cscv_z_block_##SUF(g1 - g0, vxg_len, vxg_col + g0,                  \
-                           vxg_start + g0, values + g0 * vxg_len, x,        \
-                           ytilde);                                         \
-        const int32_t *bmap = map + blk_map_ptr[b];                         \
-        for (int64_t p = 0; p < ysz; ++p) {                                 \
-            const int32_t t = bmap[p];                                      \
-            if (t >= 0) y[t] += ytilde[p];                                  \
-        }                                                                   \
+#define DEFINE_CSCV_CHUNKS(SUF, T)                                          \
+static void z_fwd_chunk_##SUF(const void *vctx, int64_t b0, int64_t b1,     \
+                              void *vpriv, int64_t lo) {                    \
+    const cscv_ctx *c = (const cscv_ctx *)vctx;                             \
+    const int64_t k = c->k;                                                 \
+    const T *values = (const T *)c->values, *X = (const T *)c->in;          \
+    T *out = (T *)vpriv;                                                    \
+    T *yt = (T *)malloc((size_t)(c->max_ysize * k) * sizeof(T));            \
+    for (int64_t b = b0; b < b1; ++b) {                                     \
+        const int64_t ysz = c->blk_ysize[b];                                \
+        const int64_t g0 = c->blk_vxg_ptr[b], g1 = c->blk_vxg_ptr[b + 1];   \
+        const int32_t *bmap = c->map + c->blk_map_ptr[b];                   \
+        memset(yt, 0, (size_t)(ysz * k) * sizeof(T));                       \
+        LANES(k, Z_FWD_##SUF)                                               \
+        LANES(k, SCATTER_##SUF)                                             \
     }                                                                       \
+    free(yt);                                                               \
 }                                                                           \
-EXPORT void cscv_z_spmv_##SUF(                                              \
-        int64_t m, int64_t num_blocks, const int64_t *blk_vxg_ptr,          \
-        const int32_t *vxg_col, const int32_t *vxg_start, const T *values,  \
-        int64_t vxg_len, const int64_t *blk_ysize,                          \
-        const int64_t *blk_map_ptr, const int32_t *map, const T *x, T *y,   \
-        int64_t max_ysize, int nthreads) {                                  \
-    if (nthreads <= 1) { /* no private copies, no reduction */              \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        cscv_z_seq_##SUF(num_blocks, blk_vxg_ptr, vxg_col, vxg_start,       \
-                         values, vxg_len, blk_ysize, blk_map_ptr, map, x,   \
-                         y, ytilde);                                        \
-        free(ytilde);                                                       \
-        return;                                                             \
+static void z_adj_chunk_##SUF(const void *vctx, int64_t b0, int64_t b1,     \
+                              void *vpriv, int64_t lo) {                    \
+    const cscv_ctx *c = (const cscv_ctx *)vctx;                             \
+    const int64_t k = c->k;                                                 \
+    const T *values = (const T *)c->values, *Y = (const T *)c->in;          \
+    T *out = (T *)vpriv;                                                    \
+    T *yt = (T *)malloc((size_t)(c->max_ysize * k) * sizeof(T));            \
+    for (int64_t b = b0; b < b1; ++b) {                                     \
+        const int64_t ysz = c->blk_ysize[b];                                \
+        const int64_t g0 = c->blk_vxg_ptr[b], g1 = c->blk_vxg_ptr[b + 1];   \
+        const int32_t *bmap = c->map + c->blk_map_ptr[b];                   \
+        LANES(k, GATHER_##SUF)                                              \
+        LANES(k, Z_ADJ_##SUF)                                               \
     }                                                                       \
-    _Pragma("omp parallel num_threads(nthreads)")                           \
-    {                                                                       \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        T *ylocal = (T *)calloc((size_t)m, sizeof(T));                      \
-        _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)ysz * sizeof(T));                     \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_z_block_##SUF(g1 - g0, vxg_len, vxg_col + g0,              \
-                               vxg_start + g0, values + g0 * vxg_len, x,    \
-                               ytilde);                                     \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t >= 0) ylocal[t] += ytilde[p];                         \
-            }                                                               \
-        }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < m; ++i) y[i] += ylocal[i];                  \
-        free(ytilde);                                                       \
-        free(ylocal);                                                       \
+    free(yt);                                                               \
+}                                                                           \
+static void m_fwd_chunk_##SUF(const void *vctx, int64_t b0, int64_t b1,     \
+                              void *vpriv, int64_t lo) {                    \
+    const cscv_ctx *c = (const cscv_ctx *)vctx;                             \
+    const int64_t k = c->k;                                                 \
+    const T *packed = (const T *)c->values, *X = (const T *)c->in;          \
+    T *out = (T *)vpriv;                                                    \
+    T *yt = (T *)malloc((size_t)(c->max_ysize * k) * sizeof(T));            \
+    for (int64_t b = b0; b < b1; ++b) {                                     \
+        const int64_t ysz = c->blk_ysize[b];                                \
+        const int64_t g0 = c->blk_vxg_ptr[b], g1 = c->blk_vxg_ptr[b + 1];   \
+        const int32_t *bmap = c->map + c->blk_map_ptr[b];                   \
+        memset(yt, 0, (size_t)(ysz * k) * sizeof(T));                       \
+        LANES(k, M_FWD_##SUF)                                               \
+        LANES(k, SCATTER_##SUF)                                             \
     }                                                                       \
+    free(yt);                                                               \
+}                                                                           \
+static void m_fwd1_chunk_##SUF(const void *vctx, int64_t b0, int64_t b1,    \
+                               void *vpriv, int64_t lo) {                   \
+    const cscv_ctx *c = (const cscv_ctx *)vctx;                             \
+    const T *packed = (const T *)c->values, *x = (const T *)c->in;          \
+    T *out = (T *)vpriv;                                                    \
+    T *yt = (T *)malloc((size_t)c->max_ysize * sizeof(T));                  \
+    for (int64_t b = b0; b < b1; ++b) {                                     \
+        const int64_t ysz = c->blk_ysize[b];                                \
+        const int64_t g0 = c->blk_vxg_ptr[b], g1 = c->blk_vxg_ptr[b + 1];   \
+        const int32_t *bmap = c->map + c->blk_map_ptr[b];                   \
+        memset(yt, 0, (size_t)ysz * sizeof(T));                             \
+        cscv_m_block_##SUF(g1 - g0, c->s_vxg, c->s_vvec, c->vxg_col + g0,   \
+                           c->vxg_start + g0, c->vxg_voff + g0,             \
+                           c->vxg_masks + g0 * c->s_vxg, packed, x, yt);    \
+        scatter_lanes_##SUF(1, 1, 0, ysz, bmap, yt, out, lo);               \
+    }                                                                       \
+    free(yt);                                                               \
+}                                                                           \
+static void m_adj_chunk_##SUF(const void *vctx, int64_t b0, int64_t b1,     \
+                              void *vpriv, int64_t lo) {                    \
+    const cscv_ctx *c = (const cscv_ctx *)vctx;                             \
+    const int64_t k = c->k;                                                 \
+    const T *packed = (const T *)c->values, *Y = (const T *)c->in;          \
+    T *out = (T *)vpriv;                                                    \
+    T *yt = (T *)malloc((size_t)(c->max_ysize * k) * sizeof(T));            \
+    for (int64_t b = b0; b < b1; ++b) {                                     \
+        const int64_t ysz = c->blk_ysize[b];                                \
+        const int64_t g0 = c->blk_vxg_ptr[b], g1 = c->blk_vxg_ptr[b + 1];   \
+        const int32_t *bmap = c->map + c->blk_map_ptr[b];                   \
+        LANES(k, GATHER_##SUF)                                              \
+        LANES(k, M_ADJ_##SUF)                                               \
+    }                                                                       \
+    free(yt);                                                               \
 }
 
-DEFINE_CSCV_Z_FULL(f32, float)
-DEFINE_CSCV_Z_FULL(f64, double)
+/* LANES bodies: the lane kernels applied to block b of a chunk worker. */
+#define Z_FWD(SUF, K, LD, J0)                                               \
+    z_fwd_lanes_##SUF(K, LD, J0, g1 - g0, c->vxg_len, c->vxg_col + g0,      \
+                      c->vxg_start + g0, values + g0 * c->vxg_len, X, yt)
+#define Z_ADJ(SUF, K, LD, J0)                                               \
+    z_adj_lanes_##SUF(K, LD, J0, g1 - g0, c->vxg_len, c->vxg_col + g0,      \
+                      c->vxg_start + g0, values + g0 * c->vxg_len, yt,      \
+                      out, lo)
+#define M_FWD(SUF, K, LD, J0)                                               \
+    m_fwd_lanes_##SUF(K, LD, J0, g1 - g0, c->s_vxg, c->s_vvec,              \
+                      c->vxg_col + g0, c->vxg_start + g0, c->vxg_voff + g0, \
+                      c->vxg_masks + g0 * c->s_vxg, packed, X, yt)
+#define M_ADJ(SUF, K, LD, J0)                                               \
+    m_adj_lanes_##SUF(K, LD, J0, g1 - g0, c->s_vxg, c->s_vvec,              \
+                      c->vxg_col + g0, c->vxg_start + g0, c->vxg_voff + g0, \
+                      c->vxg_masks + g0 * c->s_vxg, packed, yt, out, lo)
+#define SCATTER(SUF, K, LD, J0)                                             \
+    scatter_lanes_##SUF(K, LD, J0, ysz, bmap, yt, out, lo)
+#define GATHER(SUF, K, LD, J0)                                              \
+    gather_lanes_##SUF(K, LD, J0, ysz, bmap, Y, yt)
+
+#define Z_FWD_f32(K, LD, J0) Z_FWD(f32, K, LD, J0)
+#define Z_FWD_f64(K, LD, J0) Z_FWD(f64, K, LD, J0)
+#define Z_ADJ_f32(K, LD, J0) Z_ADJ(f32, K, LD, J0)
+#define Z_ADJ_f64(K, LD, J0) Z_ADJ(f64, K, LD, J0)
+#define M_FWD_f32(K, LD, J0) M_FWD(f32, K, LD, J0)
+#define M_FWD_f64(K, LD, J0) M_FWD(f64, K, LD, J0)
+#define M_ADJ_f32(K, LD, J0) M_ADJ(f32, K, LD, J0)
+#define M_ADJ_f64(K, LD, J0) M_ADJ(f64, K, LD, J0)
+#define SCATTER_f32(K, LD, J0) SCATTER(f32, K, LD, J0)
+#define SCATTER_f64(K, LD, J0) SCATTER(f64, K, LD, J0)
+#define GATHER_f32(K, LD, J0) GATHER(f32, K, LD, J0)
+#define GATHER_f64(K, LD, J0) GATHER(f64, K, LD, J0)
+
+DEFINE_CSCV_CHUNKS(f32, float)
+DEFINE_CSCV_CHUNKS(f64, double)
 
 /* ------------------------------------------------------------------ */
-/* CSCV-Z SpMM: the VxG stream applied to k RHS at once.                */
-/* X is (n, k) row-major, Y is (m, k) row-major; ytilde holds k lanes   */
-/* per slot (slot-major), so the scatter through the IOBLR map moves    */
-/* contiguous k-vectors.  The matrix (values + index) streams once for  */
-/* all k columns — the whole point of batching.                         */
+/* Exported CSCV drivers.  Stacks are row-major: X (n, k), Y (m, k).    */
+/* Every driver overwrites its output.  chunk_span holds output rows    */
+/* for the forward and output columns (pixels) for the adjoint.         */
 
-#define DEFINE_CSCV_Z_SPMM_BLOCK(SUF, T)                                    \
-static void cscv_z_block_spmm_##SUF(int64_t num_vxg, int64_t vxg_len,       \
-                                    int64_t k, const int32_t *vxg_col,      \
-                                    const int32_t *vxg_start,               \
-                                    const T *values, const T *X,            \
-                                    T *ytilde) {                            \
-    for (int64_t g = 0; g < num_vxg; ++g) {                                 \
-        const T *xr = X + (int64_t)vxg_col[g] * k;                          \
-        const T *v = values + g * vxg_len;                                  \
-        T *yt = ytilde + (int64_t)vxg_start[g] * k;                         \
-        for (int64_t s = 0; s < vxg_len; ++s) {                             \
-            const T vs = v[s];                                              \
-            T *yts = yt + s * k;                                            \
-            for (int64_t j = 0; j < k; ++j)                                 \
-                yts[j] += vs * xr[j];                                       \
-        }                                                                   \
-    }                                                                       \
-}
-
-DEFINE_CSCV_Z_SPMM_BLOCK(f32, float)
-DEFINE_CSCV_Z_SPMM_BLOCK(f64, double)
-
-#define DEFINE_CSCV_Z_SPMM_FULL(SUF, T)                                     \
-EXPORT void cscv_z_spmm_##SUF(                                              \
-        int64_t m, int64_t k, int64_t num_blocks,                           \
+#define CSCV_Z_ARGS(T)                                                      \
         const int64_t *blk_vxg_ptr, const int32_t *vxg_col,                 \
         const int32_t *vxg_start, const T *values, int64_t vxg_len,         \
         const int64_t *blk_ysize, const int64_t *blk_map_ptr,               \
-        const int32_t *map, const T *X, T *Y, int64_t max_ysize,            \
-        int nthreads) {                                                     \
-    if (nthreads <= 1) { /* no private copies, no reduction */              \
-        T *ytilde = (T *)malloc((size_t)(max_ysize * k) * sizeof(T));       \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)(ysz * k) * sizeof(T));               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_z_block_spmm_##SUF(g1 - g0, vxg_len, k, vxg_col + g0,      \
-                                    vxg_start + g0, values + g0 * vxg_len,  \
-                                    X, ytilde);                             \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t < 0) continue;                                        \
-                T *yr = Y + (int64_t)t * k;                                 \
-                const T *yt = ytilde + p * k;                               \
-                for (int64_t j = 0; j < k; ++j) yr[j] += yt[j];             \
-            }                                                               \
-        }                                                                   \
-        free(ytilde);                                                       \
-        return;                                                             \
-    }                                                                       \
-    _Pragma("omp parallel num_threads(nthreads)")                           \
-    {                                                                       \
-        T *ytilde = (T *)malloc((size_t)(max_ysize * k) * sizeof(T));       \
-        T *ylocal = (T *)calloc((size_t)(m * k), sizeof(T));                \
-        _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)(ysz * k) * sizeof(T));               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_z_block_spmm_##SUF(g1 - g0, vxg_len, k, vxg_col + g0,      \
-                                    vxg_start + g0, values + g0 * vxg_len,  \
-                                    X, ytilde);                             \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t < 0) continue;                                        \
-                T *yr = ylocal + (int64_t)t * k;                            \
-                const T *yt = ytilde + p * k;                               \
-                for (int64_t j = 0; j < k; ++j) yr[j] += yt[j];             \
-            }                                                               \
-        }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < m * k; ++i) Y[i] += ylocal[i];              \
-        free(ytilde);                                                       \
-        free(ylocal);                                                       \
-    }                                                                       \
-}
-
-DEFINE_CSCV_Z_SPMM_FULL(f32, float)
-DEFINE_CSCV_Z_SPMM_FULL(f64, double)
-
-#define DEFINE_CSCV_M_FULL(SUF, T)                                          \
-EXPORT void cscv_m_spmv_##SUF(                                              \
-        int64_t m, int64_t num_blocks, const int64_t *blk_vxg_ptr,          \
-        const int32_t *vxg_col, const int32_t *vxg_start,                   \
-        const int64_t *vxg_voff, const uint32_t *vxg_masks,                 \
-        const T *packed, int64_t s_vxg, int64_t s_vvec,                     \
-        const int64_t *blk_ysize, const int64_t *blk_map_ptr,               \
-        const int32_t *map, const T *x, T *y, int64_t max_ysize,            \
-        int nthreads) {                                                     \
-    if (nthreads <= 1) { /* no private copies, no reduction */              \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)ysz * sizeof(T));                     \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_m_block_##SUF(g1 - g0, s_vxg, s_vvec, vxg_col + g0,        \
-                               vxg_start + g0, vxg_voff + g0,               \
-                               vxg_masks + g0 * s_vxg, packed, x, ytilde);  \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t >= 0) y[t] += ytilde[p];                              \
-            }                                                               \
-        }                                                                   \
-        free(ytilde);                                                       \
-        return;                                                             \
-    }                                                                       \
-    _Pragma("omp parallel num_threads(nthreads)")                           \
-    {                                                                       \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        T *ylocal = (T *)calloc((size_t)m, sizeof(T));                      \
-        _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)ysz * sizeof(T));                     \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_m_block_##SUF(g1 - g0, s_vxg, s_vvec, vxg_col + g0,        \
-                               vxg_start + g0, vxg_voff + g0,               \
-                               vxg_masks + g0 * s_vxg, packed, x, ytilde);  \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t >= 0) ylocal[t] += ytilde[p];                         \
-            }                                                               \
-        }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < m; ++i) y[i] += ylocal[i];                  \
-        free(ytilde);                                                       \
-        free(ylocal);                                                       \
-    }                                                                       \
-}
-
-DEFINE_CSCV_M_FULL(f32, float)
-DEFINE_CSCV_M_FULL(f64, double)
-
-/* ------------------------------------------------------------------ */
-/* CSCV-M SpMM: packed values applied to k RHS at once.                 */
-/* No vexpand here even on AVX-512: with k lanes per slot each packed   */
-/* value already feeds a contiguous k-wide FMA against X's row, so the  */
-/* expansion degenerates to a scalar walk over set mask bits.           */
-
-#define DEFINE_CSCV_M_SPMM_BLOCK(SUF, T)                                    \
-static void cscv_m_block_spmm_##SUF(int64_t num_vxg, int64_t s_vxg,         \
-                                    int64_t s_vvec, int64_t k,              \
-                                    const int32_t *vxg_col,                 \
-                                    const int32_t *vxg_start,               \
-                                    const int64_t *vxg_voff,                \
-                                    const uint32_t *vxg_masks,              \
-                                    const T *packed, const T *X,            \
-                                    T *ytilde) {                            \
-    for (int64_t g = 0; g < num_vxg; ++g) {                                 \
-        const T *xr = X + (int64_t)vxg_col[g] * k;                          \
-        const T *pv = packed + vxg_voff[g];                                 \
-        T *yt0 = ytilde + (int64_t)vxg_start[g] * k;                        \
-        const uint32_t *gm = vxg_masks + g * s_vxg;                         \
-        for (int64_t e = 0; e < s_vxg; ++e) {                               \
-            const uint32_t mask = gm[e];                                    \
-            if (!mask) continue;                                            \
-            T *yte = yt0 + e * s_vvec * k;                                  \
-            for (int64_t l = 0; l < s_vvec; ++l) {                          \
-                if (!(mask & (1u << l))) continue;                          \
-                const T a = *pv++;                                          \
-                T *yts = yte + l * k;                                       \
-                for (int64_t j = 0; j < k; ++j)                             \
-                    yts[j] += a * xr[j];                                    \
-            }                                                               \
-        }                                                                   \
-    }                                                                       \
-}
-
-DEFINE_CSCV_M_SPMM_BLOCK(f32, float)
-DEFINE_CSCV_M_SPMM_BLOCK(f64, double)
-
-#define DEFINE_CSCV_M_SPMM_FULL(SUF, T)                                     \
-EXPORT void cscv_m_spmm_##SUF(                                              \
-        int64_t m, int64_t k, int64_t num_blocks,                           \
+        const int32_t *map, int64_t max_ysize
+#define CSCV_M_ARGS(T)                                                      \
         const int64_t *blk_vxg_ptr, const int32_t *vxg_col,                 \
         const int32_t *vxg_start, const int64_t *vxg_voff,                  \
         const uint32_t *vxg_masks, const T *packed, int64_t s_vxg,          \
         int64_t s_vvec, const int64_t *blk_ysize,                           \
-        const int64_t *blk_map_ptr, const int32_t *map, const T *X, T *Y,   \
-        int64_t max_ysize, int nthreads) {                                  \
-    if (nthreads <= 1) { /* no private copies, no reduction */              \
-        T *ytilde = (T *)malloc((size_t)(max_ysize * k) * sizeof(T));       \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)(ysz * k) * sizeof(T));               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_m_block_spmm_##SUF(g1 - g0, s_vxg, s_vvec, k,              \
-                                    vxg_col + g0, vxg_start + g0,           \
-                                    vxg_voff + g0, vxg_masks + g0 * s_vxg,  \
-                                    packed, X, ytilde);                     \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t < 0) continue;                                        \
-                T *yr = Y + (int64_t)t * k;                                 \
-                const T *yt = ytilde + p * k;                               \
-                for (int64_t j = 0; j < k; ++j) yr[j] += yt[j];             \
-            }                                                               \
-        }                                                                   \
-        free(ytilde);                                                       \
-        return;                                                             \
-    }                                                                       \
-    _Pragma("omp parallel num_threads(nthreads)")                           \
-    {                                                                       \
-        T *ytilde = (T *)malloc((size_t)(max_ysize * k) * sizeof(T));       \
-        T *ylocal = (T *)calloc((size_t)(m * k), sizeof(T));                \
-        _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)(ysz * k) * sizeof(T));               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_m_block_spmm_##SUF(g1 - g0, s_vxg, s_vvec, k,              \
-                                    vxg_col + g0, vxg_start + g0,           \
-                                    vxg_voff + g0, vxg_masks + g0 * s_vxg,  \
-                                    packed, X, ytilde);                     \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t < 0) continue;                                        \
-                T *yr = ylocal + (int64_t)t * k;                            \
-                const T *yt = ytilde + p * k;                               \
-                for (int64_t j = 0; j < k; ++j) yr[j] += yt[j];             \
-            }                                                               \
-        }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < m * k; ++i) Y[i] += ylocal[i];              \
-        free(ytilde);                                                       \
-        free(ylocal);                                                       \
+        const int64_t *blk_map_ptr, const int32_t *map, int64_t max_ysize
+#define CHUNK_ARGS                                                          \
+        int64_t nchunks, const int64_t *chunk_ptr, const int64_t *chunk_span
+#define Z_CTX(K, IN)                                                        \
+    const cscv_ctx ctx = {blk_vxg_ptr, vxg_col, vxg_start, values, NULL,    \
+                          NULL, vxg_len, 0, 0, blk_ysize, blk_map_ptr,      \
+                          map, max_ysize, K, IN}
+#define M_CTX(K, IN)                                                        \
+    const cscv_ctx ctx = {blk_vxg_ptr, vxg_col, vxg_start, packed,          \
+                          vxg_voff, vxg_masks, s_vxg * s_vvec, s_vxg,       \
+                          s_vvec, blk_ysize, blk_map_ptr, map, max_ysize,   \
+                          K, IN}
+
+#define DEFINE_CSCV_DRIVERS(SUF, T)                                         \
+EXPORT void cscv_z_spmm_##SUF(int64_t m, int64_t k, CSCV_Z_ARGS(T),         \
+                              CHUNK_ARGS, const T *X, T *Y, int nthreads) { \
+    Z_CTX(k, X);                                                            \
+    run_chunks_##SUF(m, k, nchunks, chunk_ptr, chunk_span, Y, nthreads,     \
+                     z_fwd_chunk_##SUF, &ctx);                              \
+}                                                                           \
+EXPORT void cscv_z_spmv_##SUF(int64_t m, CSCV_Z_ARGS(T), CHUNK_ARGS,        \
+                              const T *x, T *y, int nthreads) {             \
+    cscv_z_spmm_##SUF(m, 1, blk_vxg_ptr, vxg_col, vxg_start, values,        \
+                      vxg_len, blk_ysize, blk_map_ptr, map, max_ysize,      \
+                      nchunks, chunk_ptr, chunk_span, x, y, nthreads);      \
+}                                                                           \
+EXPORT void cscv_z_tspmm_##SUF(int64_t n, int64_t k, CSCV_Z_ARGS(T),        \
+                               CHUNK_ARGS, const T *Y, T *X, int nthreads) {\
+    Z_CTX(k, Y);                                                            \
+    run_chunks_##SUF(n, k, nchunks, chunk_ptr, chunk_span, X, nthreads,     \
+                     z_adj_chunk_##SUF, &ctx);                              \
+}                                                                           \
+EXPORT void cscv_m_spmv_##SUF(int64_t m, CSCV_M_ARGS(T), CHUNK_ARGS,        \
+                              const T *x, T *y, int nthreads) {             \
+    M_CTX(1, x);                                                            \
+    run_chunks_##SUF(m, 1, nchunks, chunk_ptr, chunk_span, y, nthreads,     \
+                     m_fwd1_chunk_##SUF, &ctx);                             \
+}                                                                           \
+EXPORT void cscv_m_spmm_##SUF(int64_t m, int64_t k, CSCV_M_ARGS(T),         \
+                              CHUNK_ARGS, const T *X, T *Y, int nthreads) { \
+    M_CTX(k, X);                                                            \
+    run_chunks_##SUF(m, k, nchunks, chunk_ptr, chunk_span, Y, nthreads,     \
+                     m_fwd_chunk_##SUF, &ctx);                              \
+}                                                                           \
+EXPORT void cscv_m_tspmm_##SUF(int64_t n, int64_t k, CSCV_M_ARGS(T),        \
+                               CHUNK_ARGS, const T *Y, T *X, int nthreads) {\
+    M_CTX(k, Y);                                                            \
+    run_chunks_##SUF(n, k, nchunks, chunk_ptr, chunk_span, X, nthreads,     \
+                     m_adj_chunk_##SUF, &ctx);                              \
+}
+
+DEFINE_CSCV_DRIVERS(f32, float)
+DEFINE_CSCV_DRIVERS(f64, double)
+
+/* ------------------------------------------------------------------ */
+/* CSR SpMM: Y = A X with X (n, k) and Y (m, k), both row-major.        */
+/* Each nonzero streams once and fans out across the k RHS lanes; rows  */
+/* never share an output, so threads split the rows statically.        */
+
+#define CSR_FWD(SUF, K, LD, J0)                                             \
+    csr_fwd_lanes_##SUF(K, LD, J0, row_ptr[i], row_ptr[i + 1], col_idx,     \
+                        vals, X, Y + i * k)
+#define CSR_FWD_f32(K, LD, J0) CSR_FWD(f32, K, LD, J0)
+#define CSR_FWD_f64(K, LD, J0) CSR_FWD(f64, K, LD, J0)
+
+#define DEFINE_CSR_SPMM(SUF, T)                                             \
+EXPORT void csr_spmm_##SUF(int64_t m, int64_t k, const int32_t *row_ptr,    \
+                           const int32_t *col_idx, const T *vals,           \
+                           const T *X, T *Y) {                              \
+    _Pragma("omp parallel for schedule(static)")                            \
+    for (int64_t i = 0; i < m; ++i) {                                       \
+        LANES(k, CSR_FWD_##SUF)                                             \
     }                                                                       \
 }
 
-DEFINE_CSCV_M_SPMM_FULL(f32, float)
-DEFINE_CSCV_M_SPMM_FULL(f64, double)
+DEFINE_CSR_SPMM(f32, float)
+DEFINE_CSR_SPMM(f64, double)
+
+/* ------------------------------------------------------------------ */
+/* CSR transpose SpMM: X = A^T Y, Y (m, k) -> X (n, k).  Rows scatter   */
+/* into shared columns, so the row chunks follow the same fixed-order   */
+/* reduction as the CSCV drivers (chunk_span: output columns).          */
+
+typedef struct {
+    const int32_t *row_ptr;
+    const int32_t *col_idx;
+    const void *vals;
+    const void *in;
+    int64_t k;
+} csr_ctx;
+
+#define CSR_ADJ(SUF, K, LD, J0)                                             \
+    csr_adj_lanes_##SUF(K, LD, J0, c->row_ptr[i], c->row_ptr[i + 1],        \
+                        c->col_idx, vals, Y + i * k, out, lo)
+#define CSR_ADJ_f32(K, LD, J0) CSR_ADJ(f32, K, LD, J0)
+#define CSR_ADJ_f64(K, LD, J0) CSR_ADJ(f64, K, LD, J0)
+
+#define DEFINE_CSR_TSPMM(SUF, T)                                            \
+static void csr_adj_chunk_##SUF(const void *vctx, int64_t r0, int64_t r1,   \
+                                void *vpriv, int64_t lo) {                  \
+    const csr_ctx *c = (const csr_ctx *)vctx;                               \
+    const int64_t k = c->k;                                                 \
+    const T *vals = (const T *)c->vals, *Y = (const T *)c->in;              \
+    T *out = (T *)vpriv;                                                    \
+    for (int64_t i = r0; i < r1; ++i) {                                     \
+        LANES(k, CSR_ADJ_##SUF)                                             \
+    }                                                                       \
+}                                                                           \
+EXPORT void csr_tspmm_##SUF(int64_t n, int64_t k, const int32_t *row_ptr,   \
+                            const int32_t *col_idx, const T *vals,          \
+                            CHUNK_ARGS, const T *Y, T *X, int nthreads) {   \
+    const csr_ctx ctx = {row_ptr, col_idx, vals, Y, k};                     \
+    run_chunks_##SUF(n, k, nchunks, chunk_ptr, chunk_span, X, nthreads,     \
+                     csr_adj_chunk_##SUF, &ctx);                            \
+}
+
+DEFINE_CSR_TSPMM(f32, float)
+DEFINE_CSR_TSPMM(f64, double)
 
 /* ------------------------------------------------------------------ */
 /* SPC5-style beta(1,c) row-block kernel: per block one row id, a       */
@@ -623,73 +820,6 @@ EXPORT void spc5_spmv_##SUF(int64_t num_blocks, const int32_t *blk_row,     \
 DEFINE_SPC5(f32, float)
 DEFINE_SPC5(f64, double)
 
-
-/* ------------------------------------------------------------------ */
-/* CSCV-Z transpose SpMV: x = A^T y (CT back-projection).               */
-/* Per block: gather ytilde through the map (the forward reorder run    */
-/* in reverse), then one contiguous dot product per VxG.  Columns repeat*/
-/* across view-group blocks, so threads use private x copies + reduce.  */
-
-#define DEFINE_CSCV_Z_TSPMV(SUF, T)                                         \
-EXPORT void cscv_z_tspmv_##SUF(                                             \
-        int64_t n, int64_t num_blocks, const int64_t *blk_vxg_ptr,          \
-        const int32_t *vxg_col, const int32_t *vxg_start, const T *values,  \
-        int64_t vxg_len, const int64_t *blk_ysize,                          \
-        const int64_t *blk_map_ptr, const int32_t *map, const T *y, T *x,   \
-        int64_t max_ysize, int nthreads) {                                  \
-    if (nthreads <= 1) {                                                    \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                ytilde[p] = (t >= 0) ? y[t] : (T)0;                         \
-            }                                                               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            for (int64_t g = g0; g < g1; ++g) {                             \
-                const T *v = values + g * vxg_len;                          \
-                const T *yt = ytilde + vxg_start[g];                        \
-                T acc = (T)0;                                               \
-                for (int64_t k = 0; k < vxg_len; ++k)                       \
-                    acc += v[k] * yt[k];                                    \
-                x[vxg_col[g]] += acc;                                       \
-            }                                                               \
-        }                                                                   \
-        free(ytilde);                                                       \
-        return;                                                             \
-    }                                                                       \
-    _Pragma("omp parallel num_threads(nthreads)")                           \
-    {                                                                       \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        T *xlocal = (T *)calloc((size_t)n, sizeof(T));                      \
-        _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                ytilde[p] = (t >= 0) ? y[t] : (T)0;                         \
-            }                                                               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            for (int64_t g = g0; g < g1; ++g) {                             \
-                const T *v = values + g * vxg_len;                          \
-                const T *yt = ytilde + vxg_start[g];                        \
-                T acc = (T)0;                                               \
-                for (int64_t k = 0; k < vxg_len; ++k)                       \
-                    acc += v[k] * yt[k];                                    \
-                xlocal[vxg_col[g]] += acc;                                  \
-            }                                                               \
-        }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < n; ++i) x[i] += xlocal[i];                  \
-        free(ytilde);                                                       \
-        free(xlocal);                                                       \
-    }                                                                       \
-}
-
-DEFINE_CSCV_Z_TSPMV(f32, float)
-DEFINE_CSCV_Z_TSPMV(f64, double)
 
 /* ------------------------------------------------------------------ */
 /* Projector sweep kernels: geometry -> COO triplets for a view range.  */
@@ -999,4 +1129,4 @@ EXPORT void kernels_set_omp_threads(int nthreads) {
 #endif
 }
 
-EXPORT int kernels_abi_version(void) { return 6; }
+EXPORT int kernels_abi_version(void) { return 7; }

@@ -9,6 +9,7 @@ classes construct their arrays that way).
 from __future__ import annotations
 
 import ctypes
+import os
 import warnings
 
 import numpy as np
@@ -30,6 +31,12 @@ def _f(dtype) -> object:
 
 
 _SUFFIX = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+
+#: OpenMP wait policy pinned before the library (and with it libgomp)
+#: first loads, unless the environment already sets one.  With no policy
+#: set, GOMP's spin-then-sleep default stalled threaded calls for
+#: milliseconds on small VMs; see docs/batched-spmm.md for the numbers.
+OMP_WAIT_POLICY = "passive"
 
 
 # Parallel-beam projector sweeps share one shape: geometry scalars, a
@@ -77,8 +84,38 @@ _RESTYPES = {
 }
 
 
+#: Chunk plan of the fixed-order reduction: count, unit boundaries,
+#: output spans (``repro.kernels.chunks.ChunkPlan``).
+_CHUNKS = [_c_i64, _i64, _i64]
+
+
 def _signatures(dtype) -> dict[str, list]:
     fp = _f(dtype)
+    cscv_z = [
+        _i64,    # blk_vxg_ptr
+        _i32,    # vxg_col
+        _i32,    # vxg_start
+        fp,      # values
+        _c_i64,  # vxg_len
+        _i64,    # blk_ysize
+        _i64,    # blk_map_ptr
+        _i32,    # map
+        _c_i64,  # max_ysize
+    ]
+    cscv_m = [
+        _i64,    # blk_vxg_ptr
+        _i32,    # vxg_col
+        _i32,    # vxg_start
+        _i64,    # vxg_voff
+        _u32,    # vxg_masks
+        fp,      # packed
+        _c_i64,  # s_vxg
+        _c_i64,  # s_vvec
+        _i64,    # blk_ysize
+        _i64,    # blk_map_ptr
+        _i32,    # map
+        _c_i64,  # max_ysize
+    ]
     return {
         "pixel_footprint_views": _PROJECTOR_SIG,
         "strip_footprint_views": _PROJECTOR_SIG,
@@ -88,95 +125,16 @@ def _signatures(dtype) -> dict[str, list]:
         "csr_spmm": [_c_i64, _c_i64, _i32, _i32, fp, fp, fp],
         "csc_spmv": [_c_i64, _c_i64, _i32, _i32, fp, fp, fp],
         "ell_spmv": [_c_i64, _c_i64, _i32, fp, fp, fp],
-        "cscv_z_spmv": [
-            _c_i64,  # m
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            fp,      # values
-            _c_i64,  # vxg_len
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # x
-            fp,      # y
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
-        "cscv_z_spmm": [
-            _c_i64,  # m
-            _c_i64,  # k (RHS count)
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            fp,      # values
-            _c_i64,  # vxg_len
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # X (n, k) row-major
-            fp,      # Y (m, k) row-major
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
-        "cscv_m_spmv": [
-            _c_i64,  # m
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            _i64,    # vxg_voff
-            _u32,    # vxg_masks
-            fp,      # packed
-            _c_i64,  # s_vxg
-            _c_i64,  # s_vvec
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # x
-            fp,      # y
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
-        "cscv_m_spmm": [
-            _c_i64,  # m
-            _c_i64,  # k (RHS count)
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            _i64,    # vxg_voff
-            _u32,    # vxg_masks
-            fp,      # packed
-            _c_i64,  # s_vxg
-            _c_i64,  # s_vvec
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # X (n, k) row-major
-            fp,      # Y (m, k) row-major
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
         "spc5_spmv": [_c_i64, _i32, _i32, _u32, _i64, fp, _c_i64, fp, fp, _c_i64],
-        "cscv_z_tspmv": [
-            _c_i64,  # n
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            fp,      # values
-            _c_i64,  # vxg_len
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # y
-            fp,      # x (output)
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
+        # CSCV drivers: output length (+ k), layout, chunk plan, in, out,
+        # nthreads (see repro.core.spmv for the argument order)
+        "cscv_z_spmv": [_c_i64, *cscv_z, *_CHUNKS, fp, fp, _c_int],
+        "cscv_z_spmm": [_c_i64, _c_i64, *cscv_z, *_CHUNKS, fp, fp, _c_int],
+        "cscv_z_tspmm": [_c_i64, _c_i64, *cscv_z, *_CHUNKS, fp, fp, _c_int],
+        "cscv_m_spmv": [_c_i64, *cscv_m, *_CHUNKS, fp, fp, _c_int],
+        "cscv_m_spmm": [_c_i64, _c_i64, *cscv_m, *_CHUNKS, fp, fp, _c_int],
+        "cscv_m_tspmm": [_c_i64, _c_i64, *cscv_m, *_CHUNKS, fp, fp, _c_int],
+        "csr_tspmm": [_c_i64, _c_i64, _i32, _i32, fp, *_CHUNKS, fp, fp, _c_int],
     }
 
 
@@ -262,6 +220,8 @@ def load_library() -> KernelLibrary | None:
         try:
             if directive == "corrupt":
                 raise OSError(f"fault injected: unloadable library {path}")
+            # libgomp reads the policy once, when it loads with the library
+            os.environ.setdefault("OMP_WAIT_POLICY", OMP_WAIT_POLICY)
             _library = KernelLibrary(path)
         except (OSError, KernelError, AttributeError) as exc:
             _load_failed = True

@@ -31,9 +31,10 @@ _SRC = Path(__file__).parent / "c_src" / "kernels.c"
 
 #: Flag sets tried in order; the first that compiles wins.
 _FLAG_SETS = [
-    ["-O3", "-march=native", "-fopenmp", "-fPIC", "-shared", "-std=c11"],
-    ["-O3", "-march=native", "-fPIC", "-shared", "-std=c11"],
-    ["-O3", "-fPIC", "-shared", "-std=c11"],
+    ["-O3", "-march=native", "-fopenmp", "-fPIC", "-shared", "-std=c11",
+     "-ffp-contract=off"],
+    ["-O3", "-march=native", "-fPIC", "-shared", "-std=c11", "-ffp-contract=off"],
+    ["-O3", "-fPIC", "-shared", "-std=c11", "-ffp-contract=off"],
 ]
 
 

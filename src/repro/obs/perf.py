@@ -99,7 +99,19 @@ def is_active() -> bool:
 # bytes-moved models (the E_M layout accounting, per dispatch)
 
 
-def cscv_z_bytes(data, k: int = 1) -> dict[str, float]:
+def _vector_bytes(shape, item: int, k: int, transpose: bool) -> tuple[int, int]:
+    """(read, written) bytes of the ``k`` dense operands of one product.
+
+    The forward reads ``k`` copies of ``x`` (length ``n``) and writes
+    ``k`` of ``y`` (length ``m``); the adjoint (``transpose``) reads
+    ``y`` and writes ``x``.
+    """
+    m, n = shape
+    src, dst = (m, n) if transpose else (n, m)
+    return k * src * item, k * dst * item
+
+
+def cscv_z_bytes(data, k: int = 1, transpose: bool = False) -> dict[str, float]:
     """Theoretical bytes one CSCV-Z SpMV/SpMM with *k* RHS must move.
 
     Reads: the padded value stream (``num_vxg * vxg_len`` slots, padding
@@ -108,10 +120,10 @@ def cscv_z_bytes(data, k: int = 1) -> dict[str, float]:
     map streamed during the scatter, and ``k`` copies of ``x``.
     Writes: ``k`` copies of ``y`` (the ``ytilde`` scratch lives in cache
     by construction — blocks are sized for it — so it is not counted,
-    exactly as in the paper's ``M_Rit``).
+    exactly as in the paper's ``M_Rit``).  The adjoint (*transpose*)
+    streams the same matrix bytes with the vector roles swapped.
     """
-    m, n = data.shape
-    item = data.dtype.itemsize
+    vec_read, written = _vector_bytes(data.shape, data.dtype.itemsize, k, transpose)
     read = float(
         data.values.nbytes
         + data.vxg_col.nbytes
@@ -120,21 +132,19 @@ def cscv_z_bytes(data, k: int = 1) -> dict[str, float]:
         + data.blk_ysize.nbytes
         + data.blk_map_ptr.nbytes
         + data.ymap.nbytes
-        + k * n * item
+        + vec_read
     )
-    written = float(k * m * item)
-    return {"read": read, "written": written, "total": read + written}
+    return {"read": read, "written": float(written), "total": read + written}
 
 
-def cscv_m_bytes(data, k: int = 1) -> dict[str, float]:
+def cscv_m_bytes(data, k: int = 1, transpose: bool = False) -> dict[str, float]:
     """Theoretical bytes one CSCV-M SpMV/SpMM with *k* RHS must move.
 
     Versus CSCV-Z the value stream shrinks to exactly ``nnz`` packed
     values, paid for with ``ceil(s_vvec/8)`` mask bytes per CSCVE and
     the per-VxG value offsets driving the (soft-)vexpand.
     """
-    m, n = data.shape
-    item = data.dtype.itemsize
+    vec_read, written = _vector_bytes(data.shape, data.dtype.itemsize, k, transpose)
     mask_bytes = data.num_cscve * ((data.params.s_vvec + 7) // 8)
     read = float(
         data.packed.nbytes
@@ -146,26 +156,23 @@ def cscv_m_bytes(data, k: int = 1) -> dict[str, float]:
         + data.blk_ysize.nbytes
         + data.blk_map_ptr.nbytes
         + data.ymap.nbytes
-        + k * n * item
+        + vec_read
     )
-    written = float(k * m * item)
-    return {"read": read, "written": written, "total": read + written}
+    return {"read": read, "written": float(written), "total": read + written}
 
 
-def format_bytes(fmt, k: int = 1) -> dict[str, float]:
+def format_bytes(fmt, k: int = 1, transpose: bool = False) -> dict[str, float]:
     """Theoretical bytes per SpMV/SpMM for any :class:`SpMVFormat`.
 
     Uses the format's own exact layout accounting
     (:meth:`~repro.sparse.matrix_base.SpMVFormat.memory_bytes`, the
     paper's ``M(A)``) plus ``k`` vector reads and writes — i.e. the
     ``M_Rit`` of :func:`repro.sparse.stats.memory_requirement`
-    generalised to multi-RHS.
+    generalised to multi-RHS (and, with *transpose*, to the adjoint).
     """
-    m, n = fmt.shape
-    item = fmt.dtype.itemsize
-    read = float(fmt.memory_bytes()["total"] + k * n * item)
-    written = float(k * m * item)
-    return {"read": read, "written": written, "total": read + written}
+    vec_read, written = _vector_bytes(fmt.shape, fmt.dtype.itemsize, k, transpose)
+    read = float(fmt.memory_bytes()["total"] + vec_read)
+    return {"read": read, "written": float(written), "total": read + written}
 
 
 # ---------------------------------------------------------------------- #
@@ -271,7 +278,8 @@ def record_dispatch(op: str, variant: str, backend: str, *,
                     bytes_written: float, nnz: int, k: int = 1) -> None:
     """Record one kernel dispatch into the tagged perf histograms.
 
-    ``op`` is ``"spmv"`` or ``"spmm"``; ``variant`` names the format
+    ``op`` is ``"spmv"``, ``"spmm"`` or, for the adjoint, ``"tspmv"`` /
+    ``"tspmm"``; ``variant`` names the format
     (``csr``, ``z``, ``m``); ``backend`` the execution path
     (``c``/``flat``/``threaded``/``numpy``).  Emits, per dispatch:
 
@@ -321,7 +329,8 @@ def record_dispatch(op: str, variant: str, backend: str, *,
 def record_cscv(op: str, variant: str, backend: str, data, seconds: float,
                 k: int = 1) -> None:
     """Dispatch recording for the CSCV drivers (layout-exact bytes)."""
-    traffic = cscv_z_bytes(data, k) if variant == "z" else cscv_m_bytes(data, k)
+    model = cscv_z_bytes if variant == "z" else cscv_m_bytes
+    traffic = model(data, k, transpose=op.startswith("t"))
     record_dispatch(op, variant, backend, seconds=seconds,
                     bytes_read=traffic["read"], bytes_written=traffic["written"],
                     nnz=data.nnz, k=k)
@@ -329,7 +338,7 @@ def record_cscv(op: str, variant: str, backend: str, data, seconds: float,
 
 def record_format(op: str, fmt, backend: str, seconds: float, k: int = 1) -> None:
     """Dispatch recording for generic :class:`SpMVFormat` instances."""
-    traffic = format_bytes(fmt, k)
+    traffic = format_bytes(fmt, k, transpose=op.startswith("t"))
     record_dispatch(op, fmt.name, backend, seconds=seconds,
                     bytes_read=traffic["read"], bytes_written=traffic["written"],
                     nnz=fmt.nnz, k=k)

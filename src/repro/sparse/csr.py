@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import config
 from repro.config import INDEX_DTYPE
 from repro.errors import ValidationError
 from repro.kernels import dispatch
+from repro.kernels.chunks import ChunkPlan, output_spans, split_units
+from repro.obs import metrics as obs_metrics
 from repro.obs import perf as obs_perf
+from repro.obs.trace import span
 from repro.sparse.coo import COOMatrix
 from repro.sparse.matrix_base import SpMVFormat, register_format
 
@@ -138,32 +142,58 @@ class CSRMatrix(SpMVFormat):
         return np.diff(self.row_ptr).astype(np.int64)
 
     def transpose_spmv(self, y_in: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``x = A^T y`` — the back-projection direction (paper future work)."""
-        from repro.utils.arrays import check_1d, ensure_dtype
+        """``x = A^T y`` — the back-projection direction (paper future work).
 
-        y_in = ensure_dtype(check_1d(y_in, self.shape[0], "y"), self.dtype, "y")
-        if out is None:
-            out = np.zeros(self.shape[1], dtype=self.dtype)
-        else:
-            out[:] = 0
-        contrib = self.vals * np.repeat(y_in, np.diff(self.row_ptr))
-        np.add.at(out, self.col_idx, contrib)
-        return out
+        The k = 1 case of :meth:`transpose_spmm`'s kernel.
+        """
+        return self._transpose(y_in, out, self._adjoint, ndim=1)
 
     def transpose_spmm(self, Y_in: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``X = A^T Y`` for a stack of sinograms ``Y`` of shape (m, k)."""
-        Y_in = np.asarray(Y_in)
-        if Y_in.ndim != 2 or Y_in.shape[0] != self.shape[0]:
-            raise ValidationError(f"Y must have shape ({self.shape[0]}, k)")
-        Yc = np.ascontiguousarray(Y_in, dtype=self.dtype)
-        k = Yc.shape[1]
-        if out is None:
-            out = np.zeros((self.shape[1], k), dtype=self.dtype)
-        else:
-            out[:] = 0
-        contrib = self.vals[:, None] * np.repeat(Yc, np.diff(self.row_ptr), axis=0)
-        np.add.at(out, self.col_idx, contrib)
-        return out
+        return self._transpose(Y_in, out, self._adjoint, ndim=2)
+
+    def chunk_plan(self) -> ChunkPlan:
+        """Row chunks of the adjoint's fixed-order reduction (memoised)."""
+        plan = getattr(self, "_chunk_plan", None)
+        if plan is None:
+            ptr = split_units(self.row_ptr, self.shape[1])
+            plan = ChunkPlan(
+                ptr=ptr,
+                rows=np.column_stack([ptr[:-1], ptr[1:]]).ravel(),
+                cols=output_spans(self.col_idx, self.row_ptr[ptr]),
+            )
+            self._chunk_plan = plan
+        return plan
+
+    def _adjoint(self, Y, X):
+        """``X[:] = A^T Y``: rows scatter into columns, chunked like CSCV."""
+        op, k = ("tspmv", 1) if Y.ndim == 1 else ("tspmm", Y.shape[1])
+        if self.nnz == 0 or k == 0:
+            X[...] = 0
+            return X
+        threads = int(config.runtime.threads)
+        t0 = obs_perf.clock() if obs_perf.active else 0.0
+        fn = dispatch.get("csr_tspmm", self.dtype)
+        backend = "numpy" if fn is None else "c"
+        with span(f"{op}.csr", backend=backend, nnz=self.nnz, batch=k,
+                  threads=threads):
+            if fn is not None:
+                plan = self.chunk_plan()
+                fn(self.shape[1], k, self.row_ptr, self.col_idx, self.vals,
+                   plan.count, plan.ptr, plan.cols, Y, X, threads)
+            else:
+                X2 = X.reshape(self.shape[1], k)
+                X2[:] = 0
+                rows = np.repeat(Y.reshape(self.shape[0], k),
+                                 np.diff(self.row_ptr), axis=0)
+                np.add.at(X2, self.col_idx, self.vals[:, None] * rows)
+        obs_metrics.counter(
+            f"spmv.calls.csr_{'t' if op == 'tspmv' else 'tmm'}.{backend}",
+            "SpMV executions by variant and execution backend",
+        ).inc()
+        if obs_perf.active:
+            obs_perf.record_format(op, self, backend, obs_perf.clock() - t0, k)
+        return X
 
     def to_coo_triplets(self):
         rows = np.repeat(np.arange(self.shape[0]), np.diff(self.row_ptr))

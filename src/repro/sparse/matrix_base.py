@@ -189,6 +189,34 @@ class SpMVFormat(abc.ABC):
         x = check_1d(x, self._shape[1], "x")
         return ensure_dtype(x, self._dtype, "x")
 
+    def _transpose(self, Y: np.ndarray, out: np.ndarray | None, run, *,
+                   ndim: int) -> np.ndarray:
+        """Shared ``transpose_spmv`` (*ndim* 1) / ``transpose_spmm``
+        (*ndim* 2) plumbing.
+
+        Validates *Y* — a length-``m`` vector or an ``(m, k)`` stack — into
+        a C-contiguous array of the matrix dtype, then calls
+        ``run(Y, X)``, which must overwrite the C-contiguous ``X`` with
+        ``A^T Y``.  An *out* that cannot take the result directly
+        receives a copy.
+        """
+        if ndim == 1:
+            Y = ensure_dtype(check_1d(Y, self._shape[0], "y"), self._dtype, "y")
+        else:
+            Y = np.asarray(Y)
+            if Y.ndim != 2 or Y.shape[0] != self._shape[0]:
+                raise ValidationError(f"Y must have shape ({self._shape[0]}, k)")
+            Y = ensure_dtype(Y, self._dtype, "Y")
+        shape = (self._shape[1],) + Y.shape[1:]
+        if (out is not None and out.shape == shape and out.dtype == self._dtype
+                and out.flags.c_contiguous and out.flags.writeable):
+            return run(Y, out)
+        X = run(Y, np.empty(shape, dtype=self._dtype))
+        if out is None:
+            return X
+        out[...] = X
+        return out
+
     def to_dense(self) -> np.ndarray:
         """Dense equivalent, reconstructed by multiplying by unit vectors.
 

@@ -323,6 +323,33 @@ class TestPipelineSpans:
         calls = [n for n in obs.registry.names() if n.startswith("spmv.calls.z.")]
         assert calls and obs.registry.get(calls[0]).value == 1
 
+    @pytest.mark.parametrize("name,variant", [("cscv-z", "z"), ("cscv-m", "m"),
+                                              ("csr", "csr")])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_adjoint_spans_counters_and_bytes(self, traced, clean_metrics,
+                                              small_ct_f32, backend, name,
+                                              variant, k):
+        from repro.api import build_format
+
+        coo, geom = small_ct_f32
+        fmt = build_format(name, coo, geom=geom)
+        m = coo.shape[0]
+        if k is None:
+            fmt.transpose_spmv(np.ones(m, dtype=np.float32))
+            op, suffix = "tspmv", "t"
+        else:
+            fmt.transpose_spmm(np.ones((m, k), dtype=np.float32))
+            op, suffix = "tspmm", "tmm"
+        spans = obs.tracer.find(f"{op}.{variant}")
+        assert len(spans) == 1
+        attrs = spans[0].attrs
+        assert attrs["backend"] in ("c", "flat", "numpy")
+        assert attrs["batch"] == (k or 1) and attrs["threads"] >= 1
+        counter = f"spmv.calls.{variant}_{suffix}.{attrs['backend']}"
+        assert obs.registry.get(counter).value == 1
+        gbs = obs.registry.get(f"{op}.achieved_gbs.{variant}.{attrs['backend']}")
+        assert gbs.count == 1
+
     def test_dispatch_fallback_counter(self, clean_metrics):
         from repro.kernels import dispatch
 

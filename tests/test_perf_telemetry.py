@@ -84,6 +84,14 @@ class TestBytesModels:
         assert b8["written"] == 8 * b1["written"]
         assert b8["read"] - b1["read"] == pytest.approx(7 * n * item)
 
+    def test_transpose_swaps_vector_roles(self, cscv_data):
+        m, n = cscv_data.shape
+        item = cscv_data.dtype.itemsize
+        for model in (perf.cscv_z_bytes, perf.cscv_m_bytes):
+            fwd, adj = model(cscv_data, 4), model(cscv_data, 4, transpose=True)
+            assert adj["written"] == 4 * n * item
+            assert adj["read"] - fwd["read"] == pytest.approx(4 * (m - n) * item)
+
     def test_format_bytes_matches_m_rit(self, small_ct_f32):
         from repro.sparse.csr import CSRMatrix
         from repro.sparse.stats import memory_requirement

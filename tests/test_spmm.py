@@ -167,7 +167,10 @@ class TestDriverEquality:
 
 
 class TestSharedPool:
-    def test_pool_reused_and_grows(self):
+    def test_pool_reused_and_grows(self, monkeypatch):
+        # the pool is sized max(request, runtime.threads): pin the ceiling
+        # below the requests so the growth steps hold at any REPRO_THREADS
+        monkeypatch.setattr(config.runtime, "threads", 1)
         spmv_mod._shutdown_pool()
         p2 = spmv_mod._shared_pool(2)
         assert spmv_mod._shared_pool(2) is p2  # same worker count: reuse
